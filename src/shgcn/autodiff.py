@@ -6,11 +6,29 @@ the mode.  A Tape records operations on Node wrappers in execution order
 (which is a valid topological order) and replays them backwards to fill
 gradient buffers.  Gradients are always accumulated in double regardless of
 the forward mode; low-precision runs are forward-only probes.
+
+Array ownership:
+
+- ``Matrix(data)`` and ``Tape.variable(data)`` copy outside input, so the
+  caller may keep writing to its array without reaching the stored value.
+- A primitive's result is a fresh C-contiguous array that no caller holds;
+  the Matrix adopts it without a copy.  Backward closures may keep a
+  reference to it for reading.
+- Every stored array is read-only.  Gradient buffers (``Node.grad``) are
+  plain writable arrays that ``Tape.backward`` allocates.
+
+Lifetime: a Node holds its Tape, its parents and its backward closure; the
+Tape holds its Nodes only through weak references.  There is no reference
+cycle, so a tape and its arrays are freed by reference counting as soon as
+the caller drops the tape and every node of it, without waiting for the
+cyclic garbage collector.  Nodes that no live node depends on are freed
+while the forward pass is still running.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import weakref
+from typing import Callable
 
 import numpy as np
 
@@ -29,15 +47,28 @@ class Matrix:
         raw = np.atleast_2d(np.asarray(data, dtype=np.float64))
         if raw.ndim != 2:
             raise ShapeError(f"Matrix must be 2-D, got shape {raw.shape}")
-        rounded = round_array(raw, mode)
-        # copy before freezing: round_array returns its input in double mode
-        rounded = np.array(rounded, dtype=np.float64, order="C", copy=True)
+        # copy: the caller keeps its array and may write to it
+        self._freeze(np.array(raw, order="C"), mode)
+
+    @classmethod
+    def _adopt(cls, raw: np.ndarray, mode: Precision) -> "Matrix":
+        """Wrap a primitive's fresh C-contiguous float64 result without
+        copying it; nothing else may write to `raw` afterwards."""
+        m = object.__new__(cls)
+        m._freeze(raw, mode)
+        return m
+
+    def _freeze(self, raw: np.ndarray, mode: Precision) -> None:
+        if mode is Precision.DOUBLE:
+            # rounding to double is the identity and cannot saturate
+            rounded, overflow = raw, False
+        else:
+            rounded = round_array(raw, mode)
+            overflow = bool(np.any(np.isinf(rounded) & np.isfinite(raw)))
         rounded.setflags(write=False)
         object.__setattr__(self, "data", rounded)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(
-            self, "overflow", bool(np.any(np.isinf(rounded) & np.isfinite(raw)))
-        )
+        object.__setattr__(self, "overflow", overflow)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -62,7 +93,7 @@ class Node:
     """A tape entry: a Matrix value plus links to its parents and the local
     backward rule that scatters an incoming gradient to them."""
 
-    __slots__ = ("value", "grad", "tape", "_parents", "_backward")
+    __slots__ = ("value", "grad", "tape", "_parents", "_backward", "__weakref__")
 
     def __init__(self, value: Matrix, tape: "Tape", parents=(), backward=None):
         self.value = value
@@ -70,7 +101,7 @@ class Node:
         self.tape = tape
         self._parents = tuple(parents)
         self._backward = backward
-        tape._nodes.append(self)
+        tape._nodes.append(weakref.ref(self))
 
     @property
     def data(self) -> np.ndarray:
@@ -129,10 +160,12 @@ class Node:
 
 
 class Tape:
-    """Single-writer record of one forward computation."""
+    """Single-writer record of one forward computation.  It refers to its
+    nodes weakly: a node that no live node or caller holds cannot receive a
+    gradient, so dropping it loses nothing."""
 
     def __init__(self):
-        self._nodes: list[Node] = []
+        self._nodes: list[weakref.ref] = []
 
     def variable(self, data, mode: Precision = Precision.DOUBLE) -> Node:
         value = data if isinstance(data, Matrix) else Matrix(data, mode)
@@ -150,11 +183,12 @@ class Tape:
             raise ShapeError(
                 f"backward root must be scalar (1x1), got shape {root.value.shape}"
             )
-        for node in self._nodes:
+        nodes = [node for node in (ref() for ref in self._nodes) if node is not None]
+        for node in nodes:
             node.grad = np.zeros(node.value.shape, dtype=np.float64)
         root.grad = np.ones((1, 1), dtype=np.float64)
-        for node in reversed(self._nodes):
-            if node._backward is not None and np.any(node.grad):
+        for node in reversed(nodes):
+            if node._backward is not None and node.grad.any():
                 node._backward(node.grad)
 
 
@@ -169,7 +203,9 @@ def _same_mode(*nodes: Node) -> Precision:
 
 
 def _make(raw: np.ndarray, mode: Precision, tape: Tape, parents, backward) -> Node:
-    return Node(Matrix(raw, mode), tape, parents, backward)
+    """Record a primitive's result; `raw` must be a fresh C-contiguous
+    float64 array that the caller hands over."""
+    return Node(Matrix._adopt(raw, mode), tape, parents, backward)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -253,10 +289,11 @@ def sparse_matmul(sparse, x: Node) -> Node:
     """Multiply a constant scipy CSR operator against a dense node."""
     if sparse.shape[1] != x.shape[0]:
         raise ShapeError(f"sparse matmul shape mismatch: {sparse.shape} @ {x.shape}")
-    sparse_t = sparse.T.tocsr()
 
     def backward(g):
-        x.grad += sparse_t @ g
+        # the transpose of a CSR operator is a CSC view of the same arrays,
+        # and its product adds terms in the same order as a rebuilt CSR
+        x.grad += sparse.T @ g
 
     return _make(sparse @ x.data, x.mode, x.tape, (x,), backward)
 
@@ -265,7 +302,7 @@ def transpose(a: Node) -> Node:
     def backward(g):
         a.grad += g.T
 
-    return _make(a.data.T, a.mode, a.tape, (a,), backward)
+    return _make(a.data.T.copy(), a.mode, a.tape, (a,), backward)
 
 
 def gather_rows(a: Node, index) -> Node:

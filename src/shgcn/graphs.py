@@ -108,28 +108,35 @@ class EdgeSplit:
 
 
 def sample_negative_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform rejection sampling over non-edges (no self-loops)."""
+    """Uniform rejection sampling over non-edges (no self-loops).
+
+    Candidates come in blocks of max(2 * count, 32) ordered pairs drawn from
+    rng.  A candidate is rejected if it is a self-loop, an edge of g, or a
+    pair already chosen; the first `count` survivors in draw order are
+    returned as rows (lo, hi).  Block size and draw order fix both the
+    output and the generator's state afterwards for a given seed.
+    """
     if count == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    max_pairs = g.n * (g.n - 1) // 2
+    n = g.n
+    max_pairs = n * (n - 1) // 2
     if max_pairs - g.num_edges < count:
         raise ValueError("graph too dense to sample that many negatives")
-    present = g.edge_set()
-    chosen: list[tuple[int, int]] = []
-    seen = set()
+    # pair (lo, hi) has key lo * n + hi.  Graph keeps its edges sorted by
+    # (lo, hi), so the edge keys are sorted too; the sentinel n * n exceeds
+    # every key, so a lookup never runs past the end.
+    edge_keys = np.append(g.edges[:, 0] * n + g.edges[:, 1], n * n)
+    chosen = np.zeros(0, dtype=np.int64)
     while len(chosen) < count:
-        draw = rng.integers(0, g.n, size=(max(count * 2, 32), 2))
-        for a, b in draw:
-            if a == b:
-                continue
-            pair = (int(min(a, b)), int(max(a, b)))
-            if pair in present or pair in seen:
-                continue
-            seen.add(pair)
-            chosen.append(pair)
-            if len(chosen) == count:
-                break
-    return np.asarray(chosen, dtype=np.int64)
+        draw = rng.integers(0, n, size=(max(count * 2, 32), 2))
+        lo, hi = draw.min(axis=1), draw.max(axis=1)
+        keys = (lo * n + hi)[lo != hi]
+        keys = keys[edge_keys[np.searchsorted(edge_keys, keys)] != keys]
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+        keys = keys[~np.isin(keys, chosen)]
+        chosen = np.concatenate([chosen, keys[: count - len(chosen)]])
+    return np.column_stack([chosen // n, chosen % n])
 
 
 def _spanning_tree_mask(n: int, edges: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -293,11 +300,19 @@ def _landmark_features(n: int, edges: np.ndarray, k: int = FEATURE_LANDMARKS) ->
     endpoints, so the structure alone says nothing about them).
     """
     g = Graph(n, edges, np.zeros((n, 1)))
-    dist = shortest_path(g.adjacency(), method="D", unweighted=True)
-    finite = np.where(np.isfinite(dist), dist, dist[np.isfinite(dist)].max() + 1.0)
     k = min(k, n)
     landmarks = np.unique(np.linspace(0, n - 1, k).astype(np.int64))
-    return np.exp(-finite[:, landmarks] / FEATURE_TEMPERATURE)
+    if g.is_connected():
+        # every distance is finite, so BFS from the landmarks alone suffices
+        profiles = shortest_path(g.adjacency(), method="D", unweighted=True,
+                                 indices=landmarks).T
+    else:
+        # an unreachable pair sits one step beyond the largest finite
+        # distance anywhere in the graph, which needs every pair
+        dist = shortest_path(g.adjacency(), method="D", unweighted=True)
+        finite = np.where(np.isfinite(dist), dist, dist[np.isfinite(dist)].max() + 1.0)
+        profiles = finite[:, landmarks]
+    return np.exp(-profiles / FEATURE_TEMPERATURE)
 
 
 def tree_graph(branching: int, depth: int) -> Graph:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -33,6 +36,16 @@ def test_matrix_immutable():
     m = Matrix([[1.0, 2.0]])
     with pytest.raises((ValueError, AttributeError)):
         m.data[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("mode", [Precision.DOUBLE, Precision.SINGLE])
+def test_outside_input_is_copied(mode):
+    source = np.array([[1.0, 2.0]])
+    m = Matrix(source, mode)
+    v = Tape().variable(source, mode)
+    source[0, 0] = 9.0
+    assert m.data[0, 0] == 1.0
+    assert v.data[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +158,36 @@ def test_unreachable_nodes_get_zero_gradient():
     assert np.array_equal(y.grad, np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize("run_backward", [True, False])
+def test_dropped_tape_is_freed_without_the_cyclic_collector(run_backward):
+    gc.disable()
+    try:
+        tape = Tape()
+        x = tape.variable(np.arange(6.0).reshape(3, 2))
+        w = tape.variable(np.ones((2, 2)))
+        h = x @ w
+        loss = ad.sum_all(ad.tanh(h))
+        if run_backward:
+            tape.backward(loss)
+        tape_ref, array_ref = weakref.ref(tape), weakref.ref(h.data)
+        del tape, x, w, h, loss
+        assert tape_ref() is None
+        assert array_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_nodes_keep_their_tape_alive():
+    def forward():
+        tape = Tape()
+        return tape.variable([[0.5]])
+
+    x = forward()
+    loss = ad.sum_all(ad.tanh(x))
+    loss.tape.backward(loss)
+    assert abs(x.grad[0, 0] - (1.0 - np.tanh(0.5) ** 2)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------
@@ -187,36 +230,55 @@ X_BALL = RNG.uniform(-0.6, 0.6, size=(3, 4))
 W_42 = RNG.uniform(-1, 1, size=(4, 2))
 
 
-@pytest.mark.parametrize(
-    "name,build,x0",
-    [
-        ("add", lambda t, x: ad.sum_all((x + x) * x), X_SMALL),
-        ("sub", lambda t, x: ad.sum_all(x - 2.0 * x * x), X_SMALL),
-        ("mul_broadcast", lambda t, x: ad.sum_all(x * t.variable([[1.0, -1.0, 2.0, 0.5]])), X_SMALL),
-        ("div", lambda t, x: ad.sum_all(x / t.variable(X_POS + 3.0)), X_SMALL),
-        ("matmul", lambda t, x: ad.sum_all(x @ t.variable(W_42)), X_SMALL),
-        ("transpose", lambda t, x: ad.sum_all(x.T @ x), X_SMALL),
-        ("tanh", lambda t, x: ad.sum_all(ad.tanh(x)), X_SMALL),
-        ("arctanh", lambda t, x: ad.sum_all(ad.arctanh(x)), X_BALL),
-        ("relu", lambda t, x: ad.sum_all(ad.relu(x)), X_SMALL),
-        ("softplus", lambda t, x: ad.sum_all(ad.softplus(x)), X_SMALL),
-        ("sigmoid", lambda t, x: ad.sum_all(ad.sigmoid(x)), X_SMALL),
-        ("exp", lambda t, x: ad.sum_all(ad.exp(x)), X_SMALL),
-        ("log", lambda t, x: ad.sum_all(ad.log(x)), X_POS),
-        ("sqrt", lambda t, x: ad.sum_all(ad.sqrt(x)), X_POS),
-        ("tanhc", lambda t, x: ad.sum_all(ad.tanhc(x)), X_SMALL),
-        ("artanhc", lambda t, x: ad.sum_all(ad.artanhc(x)), X_BALL),
-        ("row_norm", lambda t, x: ad.sum_all(ad.row_norm(x)), X_POS),
-        ("row_sum", lambda t, x: ad.sum_all(ad.row_sum(x * x)), X_SMALL),
-        ("mean_all", lambda t, x: ad.mean_all(x * x), X_SMALL),
-        ("minimum", lambda t, x: ad.sum_all(ad.minimum(x, t.variable(np.zeros((3, 4)) + 0.3))), X_SMALL),
-        ("clamp", lambda t, x: ad.sum_all(ad.clamp(x, -1.0, 1.0)), X_SMALL),
-        ("gather", lambda t, x: ad.sum_all(ad.tanh(ad.gather_rows(x, [0, 2, 2]))), X_SMALL),
-        ("median_pool", lambda t, x: ad.sum_all(ad.median_pool(x, [0, 0, 1])), X_SMALL),
-    ],
-)
+PRIMITIVE_CASES = [
+    ("add", lambda t, x: ad.sum_all((x + x) * x), X_SMALL),
+    ("sub", lambda t, x: ad.sum_all(x - 2.0 * x * x), X_SMALL),
+    ("mul_broadcast", lambda t, x: ad.sum_all(x * t.variable([[1.0, -1.0, 2.0, 0.5]])), X_SMALL),
+    ("div", lambda t, x: ad.sum_all(x / t.variable(X_POS + 3.0)), X_SMALL),
+    ("matmul", lambda t, x: ad.sum_all(x @ t.variable(W_42)), X_SMALL),
+    ("transpose", lambda t, x: ad.sum_all(x.T @ x), X_SMALL),
+    ("tanh", lambda t, x: ad.sum_all(ad.tanh(x)), X_SMALL),
+    ("arctanh", lambda t, x: ad.sum_all(ad.arctanh(x)), X_BALL),
+    ("relu", lambda t, x: ad.sum_all(ad.relu(x)), X_SMALL),
+    ("softplus", lambda t, x: ad.sum_all(ad.softplus(x)), X_SMALL),
+    ("sigmoid", lambda t, x: ad.sum_all(ad.sigmoid(x)), X_SMALL),
+    ("exp", lambda t, x: ad.sum_all(ad.exp(x)), X_SMALL),
+    ("log", lambda t, x: ad.sum_all(ad.log(x)), X_POS),
+    ("sqrt", lambda t, x: ad.sum_all(ad.sqrt(x)), X_POS),
+    ("tanhc", lambda t, x: ad.sum_all(ad.tanhc(x)), X_SMALL),
+    ("artanhc", lambda t, x: ad.sum_all(ad.artanhc(x)), X_BALL),
+    ("row_norm", lambda t, x: ad.sum_all(ad.row_norm(x)), X_POS),
+    ("row_sum", lambda t, x: ad.sum_all(ad.row_sum(x * x)), X_SMALL),
+    ("mean_all", lambda t, x: ad.mean_all(x * x), X_SMALL),
+    ("minimum", lambda t, x: ad.sum_all(ad.minimum(x, t.variable(np.zeros((3, 4)) + 0.3))), X_SMALL),
+    ("clamp", lambda t, x: ad.sum_all(ad.clamp(x, -1.0, 1.0)), X_SMALL),
+    ("gather", lambda t, x: ad.sum_all(ad.tanh(ad.gather_rows(x, [0, 2, 2]))), X_SMALL),
+    ("median_pool", lambda t, x: ad.sum_all(ad.median_pool(x, [0, 0, 1])), X_SMALL),
+]
+
+
+@pytest.mark.parametrize("name,build,x0", PRIMITIVE_CASES)
 def test_primitive_gradients(name, build, x0):
     _check(build, x0)
+
+
+@pytest.mark.parametrize("name,build,x0", PRIMITIVE_CASES + [
+    ("sparse_matmul", lambda t, x: ad.sum_all(ad.sparse_matmul(sp.eye(3, format="csr"), x)), X_SMALL),
+    ("cross_entropy", lambda t, x: ad.cross_entropy(x, [0, 3, 1]), X_SMALL),
+    ("dropout", lambda t, x: ad.sum_all(ad.dropout(x, 0.5, np.random.default_rng(0))), X_SMALL),
+])
+def test_primitive_results_are_read_only_and_c_contiguous(name, build, x0):
+    tape = Tape()
+    stack, seen = [build(tape, tape.variable(x0))], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        assert node.data.flags.c_contiguous, name
+        with pytest.raises(ValueError):
+            node.data[0, 0] = 1.0
 
 
 def test_sparse_matmul_gradient():

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from shgcn.graphs import (
+    FEATURE_LANDMARKS,
+    FEATURE_TEMPERATURE,
     Graph,
+    _landmark_features,
     all_pairs_distances,
     cycle_graph,
     delta_hyperbolicity,
@@ -144,6 +148,54 @@ def test_negative_sampler_rejects_overfull():
         sample_negative_edges(g, 1, np.random.default_rng(0))
 
 
+def reference_negative_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The sampler as a literal rejection loop over the same draw blocks."""
+    if count == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    present = g.edge_set()
+    chosen: list[tuple[int, int]] = []
+    seen = set()
+    while len(chosen) < count:
+        draw = rng.integers(0, g.n, size=(max(count * 2, 32), 2))
+        for a, b in draw:
+            if a == b:
+                continue
+            pair = (int(min(a, b)), int(max(a, b)))
+            if pair in present or pair in seen:
+                continue
+            seen.add(pair)
+            chosen.append(pair)
+            if len(chosen) == count:
+                break
+    return np.asarray(chosen, dtype=np.int64)
+
+
+def _near_complete(n: int) -> Graph:
+    iu = np.triu_indices(n, k=1)
+    keep = np.arange(len(iu[0])) % 7 != 0  # every seventh pair is a non-edge
+    return Graph(n, np.column_stack(iu)[keep], np.zeros((n, 1)))
+
+
+@pytest.mark.parametrize("g", [
+    tree_graph(3, 4),
+    cycle_graph(30),
+    erdos_graph(40, 0.2, seed=1),
+    _near_complete(12),
+    Graph(8, np.zeros((0, 2), dtype=int), np.zeros((8, 1))),
+], ids=["tree", "cycle", "erdos", "near-complete", "edgeless"])
+def test_negative_sampler_matches_reference_loop(g):
+    non_edges = g.n * (g.n - 1) // 2 - g.num_edges
+    for seed in range(4):
+        for count in sorted({0, 1, 5, 9, min(40, non_edges), non_edges // 2}):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):  # consecutive calls share one generator
+                got = sample_negative_edges(g, count, fast)
+                want = reference_negative_edges(g, count, slow)
+                assert got.dtype == want.dtype and got.shape == (count, 2)
+                assert np.array_equal(got, want), (seed, count)
+                assert fast.bit_generator.state == slow.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # delta-hyperbolicity
 # ---------------------------------------------------------------------------
@@ -228,6 +280,27 @@ def test_erdos_deterministic():
     a = erdos_graph(25, 0.2, seed=3)
     b = erdos_graph(25, 0.2, seed=3)
     assert np.array_equal(a.edges, b.edges)
+
+
+def reference_landmark_features(n: int, edges) -> np.ndarray:
+    """Landmark profiles read off the all-pairs distance matrix."""
+    g = Graph(n, edges, np.zeros((n, 1)))
+    dist = shortest_path(g.adjacency(), method="D", unweighted=True)
+    finite = np.where(np.isfinite(dist), dist, dist[np.isfinite(dist)].max() + 1.0)
+    landmarks = np.unique(np.linspace(0, n - 1, min(FEATURE_LANDMARKS, n)).astype(np.int64))
+    return np.exp(-finite[:, landmarks] / FEATURE_TEMPERATURE)
+
+
+@pytest.mark.parametrize("g,connected", [
+    (tree_graph(3, 4), True),
+    (cycle_graph(30), True),
+    (random_tree(2), True),
+    (erdos_graph(40, 0.03, seed=0), False),
+], ids=["tree", "cycle", "edge", "disconnected-erdos"])
+def test_landmark_features_match_all_pairs_reference(g, connected):
+    assert g.is_connected() == connected
+    got = _landmark_features(g.n, g.edges)
+    assert np.array_equal(got, reference_landmark_features(g.n, g.edges))
 
 
 def test_random_tree_is_tree():
