@@ -3,7 +3,9 @@
 
 delta = 0 means exactly tree-like (the regime where hyperbolic embeddings
 shine); larger values mean the graph has fat cycles.  Computed exactly via
-the four-point condition over all node quadruples.
+the four-point condition over the node quadruples of the graph's 2-core:
+pendant trees never change delta, so leaves are stripped first and a tree
+is answered without searching any quadruple.
 """
 
 from shgcn import cycle_graph, delta_hyperbolicity, erdos_graph, random_tree, tree_graph

@@ -151,7 +151,10 @@ def _load_dataset(args) -> Graph:
         for path in (args.edges, args.features, args.labels):
             if path is not None and not os.path.exists(path):
                 raise CliError(f"input file not found: {path}")
-        return load_graph(args.edges, args.features, args.labels)
+        try:
+            return load_graph(args.edges, args.features, args.labels)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
     raise CliError("no dataset: pass --synthetic <spec> or --edges <file>")
 
 

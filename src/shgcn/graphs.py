@@ -12,6 +12,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 DELTA_NODE_CAP = 600
+DELTA_J_CHUNK = 32  # js per chunk of the delta search
+DELTA_K_BLOCK = 16  # ks per block of the delta search
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,45 +244,72 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     return dist
 
 
+def _two_core(g: Graph) -> np.ndarray:
+    """Indices of the nodes left after repeatedly dropping every degree-1
+    node: the 2-core, or at most one node when g is a tree."""
+    adj = g.adjacency()
+    degree = np.asarray(adj.sum(axis=1)).reshape(-1)
+    keep = np.ones(g.n, dtype=bool)
+    leaves = degree == 1
+    while leaves.any():
+        keep &= ~leaves
+        degree -= adj @ leaves.astype(np.float64)
+        leaves = keep & (degree == 1)
+    return np.flatnonzero(keep)
+
+
 def delta_hyperbolicity(g: Graph, node_cap: int = DELTA_NODE_CAP) -> float:
     """Exact Gromov delta over all node quadruples.
 
     For each quadruple, the three pairwise-sum pairings S1 >= S2 >= S3 of
     the BFS distances give a contribution (S1 - S2)/2; delta is the global
-    maximum.  Theta(n^4) via batched vector arithmetic, so refuse graphs
-    beyond node_cap.
+    maximum.  Theta(n^4), so refuse graphs beyond node_cap.
+
+    Only the 2-core is searched.  If v is a leaf with neighbour u, then in
+    any quadruple holding v, v sits in exactly one distance of each of the
+    three pairings, so every pairing sum is one more than with u in v's
+    place: the quadruple's value is that of the quadruple with u for v, or
+    zero when u is already in it.  Dropping leaves until none is left thus
+    keeps delta, and shortest paths between the survivors never pass
+    through a dropped node, so the full graph's distances among them are
+    used as they are.  Trees keep at most one node and give 0.
+
+    The search walks every 4-set {i < j < k < l} of the core as i, a chunk
+    of DELTA_J_CHUNK js, a block of DELTA_K_BLOCK ks from j0 + 1 and every
+    l from the block's first k on; tuples with repeated nodes contribute
+    zero and re-orderings repeat values already covered.  Each block holds
+    DELTA_J_CHUNK x DELTA_K_BLOCK x (n - k0) int16 sums, at most about
+    0.6 MB per array at the 600-node cap, so the integer max/min passes
+    run in cache.
     """
     if g.n > node_cap:
         raise ValueError(
             f"graph has {g.n} nodes, above the exact-delta cap of {node_cap}"
         )
-    dist = all_pairs_distances(g).astype(np.int16)
-    n = g.n
-    if n < 2:
+    dist = all_pairs_distances(g)
+    core = _two_core(g)
+    n = len(core)
+    if n < 4:
         return 0.0
+    dist = dist[np.ix_(core, core)].astype(np.int16)
     best = 0
-    chunk = 32
-    # every 4-subset {i < j < k < l} is reached with k, l drawn past the
-    # chunk base; tuples with repeated nodes contribute zero, re-orderings
-    # repeat values already covered, so the running max is unaffected
-    for i in range(n - 1):
+    for i in range(n - 3):
         row_i = dist[i]
-        for j0 in range(i + 1, n, chunk):
-            js = np.arange(j0, min(j0 + chunk, n))
-            lo = j0 + 1
-            if lo >= n:
-                continue
-            sub = dist[lo:, lo:]
-            a = row_i[None, lo:, None] + dist[js][:, None, lo:]  # d_ik + d_jl
-            b = np.transpose(a, (0, 2, 1))                       # d_il + d_jk
-            c = dist[i, js][:, None, None] + sub[None, :, :]     # d_ij + d_kl
-            hi = np.maximum(a, b)
-            top = np.maximum(hi, c)
-            np.minimum(a, b, out=a)
-            np.minimum(hi, c, out=hi)
-            np.maximum(a, hi, out=a)  # second largest
-            np.subtract(top, a, out=top)
-            best = max(best, int(top.max()))
+        for j0 in range(i + 1, n - 2, DELTA_J_CHUNK):
+            j1 = min(j0 + DELTA_J_CHUNK, n)
+            rows_j = dist[j0:j1]
+            for k0 in range(j0 + 1, n - 1, DELTA_K_BLOCK):
+                k1 = min(k0 + DELTA_K_BLOCK, n)
+                a = row_i[None, k0:k1, None] + rows_j[:, None, k0:]       # d_ik + d_jl
+                b = rows_j[:, k0:k1, None] + row_i[None, None, k0:]       # d_jk + d_il
+                c = row_i[j0:j1, None, None] + dist[None, k0:k1, k0:]     # d_ij + d_kl
+                hi = np.maximum(a, b)
+                top = np.maximum(hi, c)
+                np.minimum(a, b, out=a)
+                np.minimum(hi, c, out=hi)
+                np.maximum(a, hi, out=a)  # second largest
+                np.subtract(top, a, out=top)
+                best = max(best, int(top.max()))
     return best / 2.0
 
 
@@ -428,7 +457,19 @@ def _read_table(path: str) -> np.ndarray:
             rows.append([float(p) for p in parts])
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    return np.asarray(rows, dtype=np.float64)
+    table = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"non-finite value in {path}")
+    return table
+
+
+def _read_ids(path: str) -> np.ndarray:
+    """A table of node ids or class labels: integral values such as 1.0
+    are taken, fractional ones refused rather than truncated."""
+    table = _read_table(path)
+    if not np.array_equal(table, np.round(table)):
+        raise ValueError(f"non-integral id or label in {path}")
+    return table.astype(np.int64)
 
 
 def load_graph(edges_path: str, features_path: str | None = None,
@@ -436,10 +477,9 @@ def load_graph(edges_path: str, features_path: str | None = None,
     """Edge list as two-column text (0-based ids, whitespace or CSV);
     optional per-node feature CSV (row i = node i) and single-column label
     CSV.  Directed input edges are symmetrized."""
-    raw = _read_table(edges_path)
-    if raw.shape[1] != 2:
-        raise ValueError(f"edge file must have two columns, got {raw.shape[1]}")
-    edges = raw.astype(np.int64)
+    edges = _read_ids(edges_path)
+    if edges.shape[1] != 2:
+        raise ValueError(f"edge file must have two columns, got {edges.shape[1]}")
     n = int(edges.max()) + 1 if edges.size else 0
     features = None
     if features_path is not None:
@@ -447,7 +487,7 @@ def load_graph(edges_path: str, features_path: str | None = None,
         n = max(n, features.shape[0])
     labels = None
     if labels_path is not None:
-        labels = _read_table(labels_path).reshape(-1).astype(np.int64)
+        labels = _read_ids(labels_path).reshape(-1)
         n = max(n, labels.shape[0])
     if features is None:
         features = _landmark_features(n, edges)

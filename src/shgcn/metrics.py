@@ -6,19 +6,15 @@ import numpy as np
 
 
 def _rank_with_ties(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties averaged."""
+    """1-based ranks, ties averaged.  NaNs sort last and, never comparing
+    equal, each get a rank of their own."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.arange(1, len(values) + 1)
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    # a tie group starts wherever a value differs from its predecessor
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     return ranks
 
 

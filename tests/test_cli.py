@@ -66,6 +66,48 @@ def test_run_missing_file_exits_2_without_output(tmp_path, monkeypatch, capsys):
     assert "not found" in err
 
 
+def _nc_files(tmp_path, edge_line="3 4", feature_row="0.5,0.5", label="1"):
+    """A 6-node path for node classification whose last lines (one edge,
+    one feature row, one label) can be replaced by bad input."""
+    edges = tmp_path / "e.csv"
+    edges.write_text("0 1\n1 2\n2 3\n4 5\n" + edge_line + "\n")
+    feats = tmp_path / "x.csv"
+    feats.write_text("1,0\n0,1\n1,1\n0,0\n1,0\n" + feature_row + "\n")
+    labels = tmp_path / "y.csv"
+    labels.write_text("0\n1\n0\n1\n0\n" + label + "\n")
+    return ["--edges", str(edges), "--features", str(feats), "--labels", str(labels)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(feature_row="nan,0.5"), "non-finite value in"),
+    (dict(edge_line="3 4.7"), "non-integral id or label in"),
+    (dict(label="1.5"), "non-integral id or label in"),
+], ids=["nan-feature", "fractional-id", "fractional-label"])
+def test_run_bad_input_file_exits_2_without_output(tmp_path, monkeypatch, capsys, bad, message):
+    out_dir = tmp_path / "bad"
+    files = _nc_files(tmp_path, **bad)
+    code, out, err = run_cli(
+        ["run", "--task", "nc", "--model", "gcn", *files, "--epochs", "3",
+         "--dim", "4", "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 2
+    assert message in err and str(tmp_path) in err
+    assert not out_dir.exists()
+
+
+def test_run_accepts_integral_floats_in_input_files(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "ok"
+    files = _nc_files(tmp_path, edge_line="3.0 4", label="1.0")
+    code, out, err = run_cli(
+        ["run", "--task", "nc", "--model", "gcn", *files, "--epochs", "3",
+         "--dim", "4", "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 0, err
+    assert (out_dir / "report.json").exists()
+
+
 def test_run_rejects_half_precision(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(
         ["run", "--synthetic", "tree:2,2", "--precision", "half", "--epochs", "2"],
@@ -203,6 +245,18 @@ def test_hyperbolicity_disconnected_exits_2(tmp_path, monkeypatch, capsys):
                            tmp_path, monkeypatch, capsys)
     assert code == 2
     assert "disconnected" in err
+
+
+def test_hyperbolicity_fractional_id_exits_2_without_output(tmp_path, monkeypatch, capsys):
+    edges = tmp_path / "e.csv"
+    edges.write_text("0 1\n1 2\n2 0\n0 1.7\n")
+    out_dir = tmp_path / "hyp"
+    code, out, err = run_cli(["hyperbolicity", "--edges", str(edges), "--out", str(out_dir)],
+                             tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert "non-integral id or label in" in err and str(edges) in err
+    assert "delta" not in out
+    assert not out_dir.exists()
 
 
 def test_hyperbolicity_cap_exceeded_exits_2(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
@@ -7,6 +9,7 @@ from shgcn.graphs import (
     FEATURE_TEMPERATURE,
     Graph,
     _landmark_features,
+    _two_core,
     all_pairs_distances,
     cycle_graph,
     delta_hyperbolicity,
@@ -258,6 +261,150 @@ def test_delta_node_cap():
     g = erdos_graph(30, 0.3, seed=1)
     with pytest.raises(ValueError):
         delta_hyperbolicity(g, node_cap=10)
+
+
+def reference_delta(g: Graph) -> float:
+    """The square-block kernel over all nodes that the triangular-block
+    search over the 2-core replaced, kept as the exact reference."""
+    dist = all_pairs_distances(g).astype(np.int16)
+    n = g.n
+    if n < 2:
+        return 0.0
+    best = 0
+    chunk = 32
+    # every 4-subset {i < j < k < l} is reached with k, l drawn past the
+    # chunk base; tuples with repeated nodes contribute zero, re-orderings
+    # repeat values already covered, so the running max is unaffected
+    for i in range(n - 1):
+        row_i = dist[i]
+        for j0 in range(i + 1, n, chunk):
+            js = np.arange(j0, min(j0 + chunk, n))
+            lo = j0 + 1
+            if lo >= n:
+                continue
+            sub = dist[lo:, lo:]
+            a = row_i[None, lo:, None] + dist[js][:, None, lo:]  # d_ik + d_jl
+            b = np.transpose(a, (0, 2, 1))                       # d_il + d_jk
+            c = dist[i, js][:, None, None] + sub[None, :, :]     # d_ij + d_kl
+            hi = np.maximum(a, b)
+            top = np.maximum(hi, c)
+            np.minimum(a, b, out=a)
+            np.minimum(hi, c, out=hi)
+            np.maximum(a, hi, out=a)  # second largest
+            np.subtract(top, a, out=top)
+            best = max(best, int(top.max()))
+    return best / 2.0
+
+
+def _bare(n: int, edges) -> Graph:
+    return Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)))
+
+
+def _ring(nodes) -> list:
+    return [(nodes[t], nodes[(t + 1) % len(nodes)]) for t in range(len(nodes))]
+
+
+def _with_pendant_trees(g: Graph, roots, sizes, seed: int) -> Graph:
+    """g with a random tree of the given size hung from each root."""
+    edges = [tuple(e) for e in g.edges]
+    n = g.n
+    for t, (root, size) in enumerate(zip(roots, sizes)):
+        tree = random_tree(size, seed=seed + t)
+        # the tree's node 0 becomes root, the others get fresh ids
+        ids = np.concatenate([[root], np.arange(n, n + size - 1)])
+        edges += [(ids[a], ids[b]) for a, b in tree.edges]
+        n += size - 1
+    return _bare(n, edges)
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 17, 31, 33, 48, 49, 65, 97])
+def test_delta_matches_reference_across_block_edges(n):
+    # an erdos graph plus a Hamiltonian cycle is connected with every node
+    # in the 2-core, so the core size straddles the chunk and block edges
+    for p, seed in ((0.02, 1), (0.1, 2), (0.4, 3)):
+        g = _bare(n, np.concatenate([erdos_graph(n, p, seed=seed).edges,
+                                     _ring(np.arange(n))]))
+        assert len(_two_core(g)) == n
+        assert delta_hyperbolicity(g) == reference_delta(g), (p, seed)
+
+
+def _lone_square(n: int, square) -> Graph:
+    """A 4-cycle a-b-c-d on the given ids, every other node in one clique
+    joined to both a and b: {a, b, c, d} is the only quadruple worth 1, all
+    others give at most 1/2, and every node is in the 2-core."""
+    a, b, c, d = square
+    rest = np.setdiff1d(np.arange(n), square)
+    edges = _ring([a, b, c, d]) + [(x, y) for x in rest for y in rest if x < y]
+    edges += [(x, y) for x in rest for y in (a, b)]
+    return _bare(n, edges)
+
+
+@pytest.mark.parametrize("square", [
+    (0, 1, 2, 3), (68, 69, 70, 71),
+    (0, 32, 33, 34), (0, 33, 34, 71), (5, 37, 38, 39), (5, 38, 70, 71),
+    (0, 1, 17, 18), (0, 1, 18, 19), (0, 1, 17, 71), (3, 20, 37, 38), (3, 20, 38, 39),
+])
+def test_delta_finds_a_lone_square_at_every_block_position(square):
+    # the square's sorted ids put j on the last or first slot of a chunk
+    # and k on the last or first slot of a block
+    g = _lone_square(72, square)
+    assert delta_hyperbolicity(g) == reference_delta(g) == 1.0
+
+
+def test_lone_square_has_one_quadruple_worth_one():
+    g = _lone_square(9, (0, 4, 7, 8))
+    d = all_pairs_distances(g)
+    worth_one = []
+    for quad in itertools.combinations(range(g.n), 4):
+        i, j, k, l = quad
+        sums = sorted([d[i, j] + d[k, l], d[i, k] + d[j, l], d[i, l] + d[j, k]])
+        if sums[2] - sums[1] == 2:
+            worth_one.append(quad)
+        assert sums[2] - sums[1] <= 2
+    assert worth_one == [(0, 4, 7, 8)]
+
+
+def test_delta_matches_reference_on_cycles_with_pendant_trees():
+    rng = np.random.default_rng(7)
+    for m in (4, 5, 9, 20, 33):
+        roots = rng.choice(m, size=3, replace=False)
+        sizes = rng.integers(2, 12, size=3)
+        g = _with_pendant_trees(cycle_graph(m), roots, sizes, seed=m)
+        assert len(_two_core(g)) == m
+        assert delta_hyperbolicity(g) == reference_delta(g) == reference_delta(cycle_graph(m))
+
+
+def test_delta_matches_reference_on_two_cycles_joined_by_a_path():
+    for m1, m2, path in ((4, 4, 1), (6, 9, 3), (12, 5, 6), (17, 16, 2)):
+        left, right = np.arange(m1), np.arange(m1, m1 + m2)
+        inner = np.arange(m1 + m2, m1 + m2 + path - 1)
+        chain = np.concatenate([[left[0]], inner, [right[0]]])
+        edges = _ring(left) + _ring(right) + list(zip(chain[:-1], chain[1:]))
+        g = _bare(m1 + m2 + path - 1, edges)
+        assert len(_two_core(g)) == g.n
+        assert delta_hyperbolicity(g) == reference_delta(g)
+
+
+def test_delta_matches_reference_on_random_trees():
+    for seed in range(10):
+        g = random_tree(int(np.random.default_rng(seed).integers(2, 60)), seed=seed)
+        assert len(_two_core(g)) <= 1
+        assert delta_hyperbolicity(g) == reference_delta(g) == 0.0
+
+
+def test_delta_empty_two_core():
+    g = _bare(4, [(0, 1), (1, 2), (2, 3)])  # the last two survivors are both leaves
+    assert len(_two_core(g)) == 0
+    assert delta_hyperbolicity(g) == reference_delta(g) == 0.0
+
+
+def test_delta_unchanged_by_pendant_trees():
+    for seed, g in enumerate([cycle_graph(8), erdos_graph(40, 0.15, seed=3),
+                              _bare(6, _ring(np.arange(6)) + [(0, 3)])]):
+        base = delta_hyperbolicity(g)
+        assert base == reference_delta(g) > 0
+        hung = _with_pendant_trees(g, [0, 1, g.n - 1], [5, 20, 2], seed=seed)
+        assert delta_hyperbolicity(hung) == base
 
 
 # ---------------------------------------------------------------------------

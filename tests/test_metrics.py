@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shgcn.metrics import classification_metrics, mean_absolute_error, roc_auc
+from shgcn.metrics import _rank_with_ties, classification_metrics, mean_absolute_error, roc_auc
 
 
 def test_auc_perfect_ranking():
@@ -73,3 +73,43 @@ def test_classification_empty_error():
 def test_mae():
     assert mean_absolute_error([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert mean_absolute_error([1.0, 3.0], [2.0, 1.0]) == 1.5
+
+
+def reference_rank_with_ties(values: np.ndarray) -> np.ndarray:
+    """The Python tie loop that the vectorised ranking replaced."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.arange(1, len(values) + 1)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
+        i = j + 1
+    return ranks
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 2.0, 5.0, 4.0],
+    [0.7] * 6,
+    [0.2, 0.5, 0.2, 0.9, 0.5, 0.5, 0.1, 0.9],
+    [np.inf, -np.inf, 1.0, np.inf, -np.inf, 0.0, np.inf],
+    [np.nan, 0.3, np.nan, 0.3, -np.inf, np.nan, 1.0],
+    [np.nan, np.nan],
+    [4.0],
+    [],
+], ids=["no-ties", "all-ties", "mixed-ties", "inf", "nan", "all-nan", "single", "empty"])
+def test_rank_with_ties_matches_reference_loop(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert np.array_equal(_rank_with_ties(values), reference_rank_with_ties(values))
+
+
+def test_rank_with_ties_matches_reference_loop_on_random_ties():
+    rng = np.random.default_rng(3)
+    for size in (2, 17, 300):
+        values = rng.integers(0, 6, size=size).astype(np.float64)
+        values[rng.random(size) < 0.1] = np.nan
+        assert np.array_equal(_rank_with_ties(values), reference_rank_with_ties(values))
