@@ -191,6 +191,8 @@ def cmd_run(args) -> int:
         "curvature", "precision", "count",
     ]
     cfg = _resolve(args, keys)
+    if cfg["task"] not in ("lp", "nc", "gr"):
+        raise CliError(f"unknown task {cfg['task']!r} (use lp, nc or gr)")
     if getattr(args, "seed", None) is not None:
         if args.seeds is not None:
             raise CliError("give either --seed or --seeds, not both")
@@ -208,12 +210,11 @@ def cmd_run(args) -> int:
         init_curvature=float(cfg["curvature"]),
         dropout=float(cfg["dropout"]),
     )
-    decoder = DecoderConfig(r=float(cfg["decoder_r"]), t=float(cfg["decoder_t"]),
-                            task={"lp": "link_prediction", "nc": "node_classification",
-                                  "gr": "graph_regression"}[cfg["task"]])
+    decoder = DecoderConfig(r=float(cfg["decoder_r"]), t=float(cfg["decoder_t"]))
     resolved = {**cfg, "seeds": seeds, "ratios": list(ratios),
                 "dataset": args.synthetic or args.edges, "version": __version__}
 
+    graph = None if cfg["task"] == "gr" else _load_dataset(args)
     per_seed = []
     for seed in seeds:
         if cfg["task"] == "gr":
@@ -224,7 +225,6 @@ def cmd_run(args) -> int:
                 ratios=ratios, mode=mode,
             )
         else:
-            graph = _load_dataset(args)
             if cfg["task"] == "lp":
                 split = split_edges(graph, ratios, seed)
             else:

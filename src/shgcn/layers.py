@@ -84,13 +84,10 @@ class ModelConfig:
 class DecoderConfig:
     r: float = 2.0
     t: float = 1.0
-    task: str = "link_prediction"
 
     def __post_init__(self):
         if self.t <= 0:
             raise ValueError("Fermi-Dirac temperature t must be positive")
-        if self.task not in ("link_prediction", "node_classification", "graph_regression"):
-            raise ValueError(f"unknown task {self.task!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Losses, Adam, and the train/validate/test loops with per-epoch timing."""
+"""Losses, Adam, and the train/validate/test loop with per-epoch timing.
+
+The three trainers share one epoch loop (`_fit`).  When the model draws no
+dropout, epoch e's validation metric is read from the forward that epoch
+e+1 runs for training, on the same parameters, so a call runs epochs + 2
+forwards rather than 2 * epochs + 1.  The per-epoch timing window covers
+forward, negatives, backward and step; validation stays outside it."""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ import time
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Tape
+from .autodiff import Matrix, Node, Tape
 from .graphs import (
     EdgeSplit,
     Graph,
@@ -123,19 +129,81 @@ class TrainResult:
     params: dict
     records: list
     test_metrics: dict
-    epoch_times: np.ndarray  # seconds, one per epoch (forward+backward+step only)
+    # seconds, one per epoch: forward, negatives, backward and step only.
+    # Validation is never timed, also when it reads the next epoch's forward.
+    epoch_times: np.ndarray
 
 
 def _grads_of(nodes: dict) -> dict:
     return {name: node.grad for name, node in nodes.items()}
 
 
-def _lp_eval(model: GraphModel, adj, features, pos, neg, decoder: DecoderConfig,
-             mode: Precision) -> float:
+def _fit(model: GraphModel, head, forward, loss_of, val_of, *, higher_is_better: bool,
+         seed: int, epochs: int, patience: int, lr: float):
+    """The epoch loop of every trainer: Adam, early stopping on a validation
+    metric and per-epoch records.  `forward(dropout_rng)` runs the model (and
+    head) on a new tape and returns the output and parameter nodes,
+    `loss_of(out)` builds the loss on that tape and `val_of(matrix)` scores
+    an evaluation output.  Returns (best params, records, epoch times) with
+    the best params set."""
+    modules = [model] if head is None else [model, head]
+
+    def params() -> dict:
+        return {name: value for m in modules for name, value in m.parameters().items()}
+
+    def set_params(values: dict) -> None:
+        for m in modules:
+            m.set_parameters(values)
+
+    opt = adam_init(params(), lr=lr)
+    drop_rng = np.random.default_rng(seed + 211)
+    reuse = model.config.dropout == 0  # no dropout drawn: train forward == eval forward
+    records: list[EpochRecord] = []
+    times = []
+    best_val = -np.inf if higher_is_better else np.inf
+    best_params, stale = copy.deepcopy(params()), 0
+
+    def validate(loss: float, stepped: dict, out: Node) -> bool:
+        """Record the oldest unvalidated epoch; True once patience runs out."""
+        nonlocal best_val, best_params, stale
+        val = val_of(out.value)
+        records.append(EpochRecord(len(records), loss, val, times[len(records)]))
+        if not np.isfinite(val):
+            best_params = copy.deepcopy(stepped)
+        elif val > best_val if higher_is_better else val < best_val:
+            best_val, best_params, stale = val, copy.deepcopy(stepped), 0
+        else:
+            stale += 1
+            return stale >= patience
+        return False
+
+    pending = None  # (loss, params) of the stepped epoch awaiting validation
+    for _ in range(epochs):
+        start = time.perf_counter()
+        out, nodes = forward(drop_rng)
+        if pending is not None:
+            paused = time.perf_counter()
+            if validate(*pending, out if reuse else forward(None)[0]):
+                break
+            start += time.perf_counter() - paused
+        loss = loss_of(out)
+        out.tape.backward(loss)
+        stepped = adam_step(opt, params(), _grads_of(nodes))
+        set_params(stepped)
+        times.append(time.perf_counter() - start)
+        pending = (loss.item(), stepped)
+    else:
+        if pending is not None:
+            validate(*pending, forward(None)[0])
+
+    set_params(best_params)
+    return best_params, records, np.asarray(times)
+
+
+def _lp_auc(z: Matrix, pos, neg, decoder: DecoderConfig) -> float:
     if len(pos) == 0 or len(neg) == 0:
         return float("nan")
-    tape = Tape()
-    z, _ = model.forward(tape, adj, features, mode)
+    z = Tape().variable(z)  # adopts the Matrix: no copy, no node on the training tape
     pos_s = fermi_dirac_edge_scores(z, pos, decoder.r, decoder.t).data.reshape(-1)
     neg_s = fermi_dirac_edge_scores(z, neg, decoder.r, decoder.t).data.reshape(-1)
     scores = np.concatenate([pos_s, neg_s])
@@ -153,44 +221,24 @@ def train_link_prediction(config: ModelConfig, graph: Graph, split: EdgeSplit,
     train_graph = graph_from_train_edges(graph, split)
     adj = normalized_adjacency(train_graph)
     model = GraphModel(config, graph.features.shape[1], seed=seed)
-    opt = adam_init(model.parameters(), lr=lr)
     neg_rng = np.random.default_rng(seed + 101)
-    drop_rng = np.random.default_rng(seed + 211)
 
-    records: list[EpochRecord] = []
-    times = []
-    best_val, best_params, stale = -np.inf, copy.deepcopy(model.parameters()), 0
-    for epoch in range(epochs):
-        start = time.perf_counter()
-        tape = Tape()
-        z, nodes = model.forward(tape, adj, graph.features, mode, drop_rng)
+    def forward(drop_rng):
+        return model.forward(Tape(), adj, graph.features, mode, drop_rng)
+
+    def loss_of(z):
         train_neg = sample_negative_edges(graph, len(split.train_pos), neg_rng)
         pos = fermi_dirac_edge_scores(z, split.train_pos, decoder.r, decoder.t)
         neg = fermi_dirac_edge_scores(z, train_neg, decoder.r, decoder.t)
-        loss = lp_loss(pos, neg)
-        tape.backward(loss)
-        new_params = adam_step(opt, model.parameters(), _grads_of(nodes))
-        model.set_parameters(new_params)
-        elapsed = time.perf_counter() - start
-        times.append(elapsed)
+        return lp_loss(pos, neg)
 
-        val = _lp_eval(model, adj, graph.features, split.val_pos, split.val_neg,
-                       decoder, mode)
-        records.append(EpochRecord(epoch, loss.item(), val, elapsed))
-        if np.isfinite(val):
-            if val > best_val:
-                best_val, best_params, stale = val, copy.deepcopy(new_params), 0
-            else:
-                stale += 1
-                if stale >= patience:
-                    break
-        else:
-            best_params = copy.deepcopy(new_params)
-
-    model.set_parameters(best_params)
-    test_auc = _lp_eval(model, adj, graph.features, split.test_pos, split.test_neg,
-                        decoder, mode)
-    return TrainResult(best_params, records, {"auc": test_auc}, np.asarray(times))
+    best_params, records, times = _fit(
+        model, None, forward, loss_of,
+        lambda z: _lp_auc(z, split.val_pos, split.val_neg, decoder),
+        higher_is_better=True, seed=seed, epochs=epochs, patience=patience, lr=lr,
+    )
+    test_auc = _lp_auc(forward(None)[0].value, split.test_pos, split.test_neg, decoder)
+    return TrainResult(best_params, records, {"auc": test_auc}, times)
 
 
 def train_node_classification(config: ModelConfig, graph: Graph,
@@ -209,60 +257,31 @@ def train_node_classification(config: ModelConfig, graph: Graph,
     adj = normalized_adjacency(graph)
     model = GraphModel(config, graph.features.shape[1], seed=seed)
     head = ClassificationHead(config.hidden_dim, num_classes, seed=seed + 1)
-    all_params = {**model.parameters(), **head.parameters()}
-    opt = adam_init(all_params, lr=lr)
-    drop_rng = np.random.default_rng(seed + 211)
 
-    def set_all(params):
-        model.set_parameters(params)
-        head.set_parameters(params)
-
-    def predict():
-        tape = Tape()
-        z, _ = model.forward(tape, adj, graph.features, mode)
-        logits, _ = head.forward(tape, z, mode)
-        return logits.data.argmax(axis=1)
-
-    records: list[EpochRecord] = []
-    times = []
-    best_val, best_params, stale = -np.inf, copy.deepcopy(all_params), 0
-    for epoch in range(epochs):
-        start = time.perf_counter()
+    def forward(drop_rng):
         tape = Tape()
         z, nodes = model.forward(tape, adj, graph.features, mode, drop_rng)
         logits, head_nodes = head.forward(tape, z, mode)
-        train_logits = ad.gather_rows(logits, train_idx)
-        loss = nc_loss(train_logits, graph.labels[train_idx])
-        tape.backward(loss)
         nodes.update(head_nodes)
-        params = {**model.parameters(), **head.parameters()}
-        new_params = adam_step(opt, params, _grads_of(nodes))
-        set_all(new_params)
-        elapsed = time.perf_counter() - start
-        times.append(elapsed)
+        return logits, nodes
 
-        preds = predict()
-        val = (
-            float(np.mean(preds[val_idx] == graph.labels[val_idx]))
-            if len(val_idx)
-            else float("nan")
-        )
-        records.append(EpochRecord(epoch, loss.item(), val, elapsed))
-        if np.isfinite(val):
-            if val > best_val:
-                best_val, best_params, stale = val, copy.deepcopy(new_params), 0
-            else:
-                stale += 1
-                if stale >= patience:
-                    break
-        else:
-            best_params = copy.deepcopy(new_params)
+    def loss_of(logits):
+        return nc_loss(ad.gather_rows(logits, train_idx), graph.labels[train_idx])
 
-    set_all(best_params)
-    preds = predict()
+    def accuracy(logits: Matrix) -> float:
+        if not len(val_idx):
+            return float("nan")
+        preds = logits.data.argmax(axis=1)
+        return float(np.mean(preds[val_idx] == graph.labels[val_idx]))
+
+    best_params, records, times = _fit(
+        model, head, forward, loss_of, accuracy,
+        higher_is_better=True, seed=seed, epochs=epochs, patience=patience, lr=lr,
+    )
+    preds = forward(None)[0].data.argmax(axis=1)
     average = "binary" if num_classes == 2 else "macro"
     metrics = classification_metrics(preds[test_idx], graph.labels[test_idx], average)
-    return TrainResult(best_params, records, metrics, np.asarray(times))
+    return TrainResult(best_params, records, metrics, times)
 
 
 def _disjoint_union(graphs: list[Graph]):
@@ -293,58 +312,29 @@ def train_graph_regression(config: ModelConfig, graphs: list[Graph],
     train_g, val_g, test_g = split_nodes(len(graphs), ratios, seed)
     model = GraphModel(config, union.features.shape[1], seed=seed)
     head = RegressionHead(config.hidden_dim, config.hidden_dim, seed=seed + 1)
-    all_params = {**model.parameters(), **head.parameters()}
-    opt = adam_init(all_params, lr=lr)
 
-    def set_all(params):
-        model.set_parameters(params)
-        head.set_parameters(params)
-
-    def predictions():
+    def forward(drop_rng):
         tape = Tape()
-        z, _ = model.forward(tape, adj, union.features, mode)
-        pred, _ = head.forward(tape, z, membership, mode)
-        return pred.data.reshape(-1)
-
-    records: list[EpochRecord] = []
-    times = []
-    best_val, best_params, stale = np.inf, copy.deepcopy(all_params), 0
-    for epoch in range(epochs):
-        start = time.perf_counter()
-        tape = Tape()
-        z, nodes = model.forward(tape, adj, union.features, mode)
+        z, nodes = model.forward(tape, adj, union.features, mode, drop_rng)
         pred, head_nodes = head.forward(tape, z, membership, mode)
-        train_pred = ad.gather_rows(pred, train_g)
-        loss = gr_loss(train_pred, targets[train_g])
-        tape.backward(loss)
         nodes.update(head_nodes)
-        params = {**model.parameters(), **head.parameters()}
-        new_params = adam_step(opt, params, _grads_of(nodes))
-        set_all(new_params)
-        elapsed = time.perf_counter() - start
-        times.append(elapsed)
+        return pred, nodes
 
-        preds = predictions()
-        val = (
-            mean_absolute_error(preds[val_g], targets[val_g])
-            if len(val_g)
-            else float("nan")
-        )
-        records.append(EpochRecord(epoch, loss.item(), val, elapsed))
-        if np.isfinite(val):
-            if val < best_val:
-                best_val, best_params, stale = val, copy.deepcopy(new_params), 0
-            else:
-                stale += 1
-                if stale >= patience:
-                    break
-        else:
-            best_params = copy.deepcopy(new_params)
+    def loss_of(pred):
+        return gr_loss(ad.gather_rows(pred, train_g), targets[train_g])
 
-    set_all(best_params)
-    preds = predictions()
+    def val_mae(pred: Matrix) -> float:
+        if not len(val_g):
+            return float("nan")
+        return mean_absolute_error(pred.data.reshape(-1)[val_g], targets[val_g])
+
+    best_params, records, times = _fit(
+        model, head, forward, loss_of, val_mae,
+        higher_is_better=False, seed=seed, epochs=epochs, patience=patience, lr=lr,
+    )
+    preds = forward(None)[0].data.reshape(-1)
     metrics = {"mae": mean_absolute_error(preds[test_g], targets[test_g])}
-    return TrainResult(best_params, records, metrics, np.asarray(times))
+    return TrainResult(best_params, records, metrics, times)
 
 
 def train_model(config: ModelConfig, graph: Graph, split, task: str = "lp",

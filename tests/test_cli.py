@@ -147,6 +147,39 @@ def test_config_file_unknown_key(tmp_path, monkeypatch, capsys):
     assert code == 2
 
 
+def test_config_file_unknown_task_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "node_classification"}))
+    code, _, err = run_cli(
+        ["run", "--synthetic", "tree:2,2", "--config", str(cfg), "--out", str(tmp_path / "t")],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 2 and "unknown task" in err
+    assert not (tmp_path / "t").exists()
+
+
+def test_run_loads_the_dataset_once_for_all_seeds(tmp_path, monkeypatch, capsys):
+    import shgcn.cli as cli
+
+    calls = []
+    parse = cli.parse_synthetic
+    monkeypatch.setattr(cli, "parse_synthetic", lambda spec: calls.append(spec) or parse(spec))
+    args = ["run", "--synthetic", "tree:2,3", "--epochs", "5", "--dim", "4"]
+    code, _, _ = run_cli(args + ["--seeds", "0,1,2", "--out", str(tmp_path / "all")],
+                         tmp_path, monkeypatch, capsys)
+    assert code == 0
+    assert calls == ["tree:2,3"]
+    per_seed = json.loads((tmp_path / "all" / "report.json").read_text())["per_seed"]
+    for entry in per_seed:
+        out_dir = tmp_path / f"seed{entry['seed']}"
+        code, _, _ = run_cli(args + ["--seed", str(entry["seed"]), "--out", str(out_dir)],
+                             tmp_path, monkeypatch, capsys)
+        assert code == 0
+        alone = json.loads((out_dir / "report.json").read_text())["per_seed"][0]
+        assert alone["metrics"] == entry["metrics"]
+        assert alone["epochs_run"] == entry["epochs_run"]
+
+
 def test_report_metrics_reproducible(tmp_path, monkeypatch, capsys):
     args = ["run", "--synthetic", "tree:2,3", "--seeds", "1", "--epochs", "8",
             "--dim", "4"]

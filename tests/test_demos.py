@@ -1,6 +1,7 @@
 """Smoke tests that run the narrative demos as a user would."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,11 @@ def test_delta_hyperbolicity_demo():
     assert len(trees) == 4
     assert all(rows[name] == "0.0" for name in trees)
     assert (rows["cycle C4"], rows["cycle C8"], rows["cycle C16"]) == ("1.0", "2.0", "4.0")
+
+
+def test_link_prediction_tree_demo():
+    out = run_demo("04_link_prediction_tree.py")
+    aucs = [line for line in out.splitlines() if re.search(r"seed \d+: AUC [01]\.\d{4}", line)]
+    assert len(aucs) == 10
+    margin = re.search(r"hyperbolic margin over the Euclidean baseline: ([+-]\d\.\d+)", out)
+    assert margin is not None and float(margin.group(1)) > 0

@@ -1,13 +1,39 @@
+import copy
+import dataclasses
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from shgcn import autodiff as ad
 from shgcn.autodiff import Tape, finite_diff_grad
-from shgcn.graphs import split_edges, tree_graph
-from shgcn.layers import DecoderConfig, ModelConfig
+from shgcn.graphs import (
+    Graph,
+    erdos_graph,
+    graph_from_train_edges,
+    normalized_adjacency,
+    sample_negative_edges,
+    split_edges,
+    split_nodes,
+    tree_graph,
+)
+from shgcn.layers import (
+    ClassificationHead,
+    DecoderConfig,
+    GraphModel,
+    ModelConfig,
+    RegressionHead,
+    fermi_dirac_edge_scores,
+)
+from shgcn.metrics import classification_metrics, mean_absolute_error, roc_auc
+from shgcn.precision import Precision
 from shgcn.training import (
     EpochRecord,
+    TrainResult,
+    _disjoint_union,
+    _grads_of,
     adam_init,
     adam_step,
     benchmark_models,
@@ -15,8 +41,10 @@ from shgcn.training import (
     lp_loss,
     nc_loss,
     speedup_with_ci,
+    train_graph_regression,
     train_link_prediction,
     train_model,
+    train_node_classification,
 )
 
 # ---------------------------------------------------------------------------
@@ -138,8 +166,6 @@ def test_adam_step_count_increments():
 @pytest.fixture(scope="module")
 def small_tree_setup():
     graph = tree_graph(2, 4)  # 31 nodes
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         split = split_edges(graph, (0.85, 0.05, 0.10), seed=0)
@@ -194,18 +220,31 @@ def test_node_classification_runs(small_tree_setup):
     assert "f1" in result.test_metrics
 
 
-def test_graph_regression_runs():
-    from shgcn.graphs import erdos_graph, Graph
-    from shgcn.training import train_graph_regression
-
+def regression_family():
     graphs = []
     for i in range(12):
         g = erdos_graph(12, 0.15 + 0.02 * (i % 5), seed=i)
         density = 2.0 * g.num_edges / (g.n * (g.n - 1))
         graphs.append(Graph(g.n, g.edges, g.features, g.labels, 10 * density))
+    return graphs
+
+
+def test_graph_regression_runs():
     config = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=6)
-    result = train_graph_regression(config, graphs, seed=0, epochs=30)
+    result = train_graph_regression(config, regression_family(), seed=0, epochs=30)
     assert np.isfinite(result.test_metrics["mae"])
+
+
+def test_graph_regression_draws_dropout_deterministically():
+    graphs = regression_family()
+    base = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=6)
+    dropped = dataclasses.replace(base, dropout=0.5)
+    a = train_graph_regression(base, graphs, seed=0, epochs=5)
+    b = train_graph_regression(dropped, graphs, seed=0, epochs=5)
+    c = train_graph_regression(dropped, graphs, seed=0, epochs=5)
+    assert not np.array_equal(a.params["w0"], b.params["w0"])
+    for k in b.params:
+        assert np.array_equal(b.params[k], c.params[k])
 
 
 def test_dropout_changes_training_but_stays_deterministic(small_tree_setup):
@@ -225,6 +264,296 @@ def test_early_stopping_respects_patience(small_tree_setup):
     result = train_model(config, graph, split, task="lp", seed=0, epochs=500,
                          patience=5)
     assert len(result.records) < 500
+
+
+# ---------------------------------------------------------------------------
+# the shared loop against the three separate loops it replaced
+# ---------------------------------------------------------------------------
+# The reference trainers below are the per-task loops as they stood before
+# the trainers shared one loop: each epoch validates with a separate
+# evaluation forward after its step, and graph regression draws no dropout.
+
+
+def _ref_lp_eval(model, adj, features, pos, neg, decoder, mode):
+    if len(pos) == 0 or len(neg) == 0:
+        return float("nan")
+    tape = Tape()
+    z, _ = model.forward(tape, adj, features, mode)
+    pos_s = fermi_dirac_edge_scores(z, pos, decoder.r, decoder.t).data.reshape(-1)
+    neg_s = fermi_dirac_edge_scores(z, neg, decoder.r, decoder.t).data.reshape(-1)
+    scores = np.concatenate([pos_s, neg_s])
+    labels = np.concatenate([np.ones(len(pos_s)), np.zeros(len(neg_s))])
+    return roc_auc(scores, labels)
+
+
+def reference_link_prediction(config, graph, split, seed=0, epochs=200, patience=100,
+                              lr=0.01, decoder=DecoderConfig(), mode=Precision.DOUBLE):
+    train_graph = graph_from_train_edges(graph, split)
+    adj = normalized_adjacency(train_graph)
+    model = GraphModel(config, graph.features.shape[1], seed=seed)
+    opt = adam_init(model.parameters(), lr=lr)
+    neg_rng = np.random.default_rng(seed + 101)
+    drop_rng = np.random.default_rng(seed + 211)
+
+    records = []
+    times = []
+    best_val, best_params, stale = -np.inf, copy.deepcopy(model.parameters()), 0
+    for epoch in range(epochs):
+        start = time.perf_counter()
+        tape = Tape()
+        z, nodes = model.forward(tape, adj, graph.features, mode, drop_rng)
+        train_neg = sample_negative_edges(graph, len(split.train_pos), neg_rng)
+        pos = fermi_dirac_edge_scores(z, split.train_pos, decoder.r, decoder.t)
+        neg = fermi_dirac_edge_scores(z, train_neg, decoder.r, decoder.t)
+        loss = lp_loss(pos, neg)
+        tape.backward(loss)
+        new_params = adam_step(opt, model.parameters(), _grads_of(nodes))
+        model.set_parameters(new_params)
+        elapsed = time.perf_counter() - start
+        times.append(elapsed)
+
+        val = _ref_lp_eval(model, adj, graph.features, split.val_pos, split.val_neg,
+                           decoder, mode)
+        records.append(EpochRecord(epoch, loss.item(), val, elapsed))
+        if np.isfinite(val):
+            if val > best_val:
+                best_val, best_params, stale = val, copy.deepcopy(new_params), 0
+            else:
+                stale += 1
+                if stale >= patience:
+                    break
+        else:
+            best_params = copy.deepcopy(new_params)
+
+    model.set_parameters(best_params)
+    test_auc = _ref_lp_eval(model, adj, graph.features, split.test_pos, split.test_neg,
+                            decoder, mode)
+    return TrainResult(best_params, records, {"auc": test_auc}, np.asarray(times))
+
+
+def reference_node_classification(config, graph, node_split=None, seed=0, epochs=200,
+                                  patience=100, lr=0.01, ratios=(0.85, 0.05, 0.10),
+                                  mode=Precision.DOUBLE):
+    if node_split is None:
+        node_split = split_nodes(graph.n, ratios, seed)
+    train_idx, val_idx, test_idx = node_split
+    num_classes = int(graph.labels.max()) + 1
+    adj = normalized_adjacency(graph)
+    model = GraphModel(config, graph.features.shape[1], seed=seed)
+    head = ClassificationHead(config.hidden_dim, num_classes, seed=seed + 1)
+    all_params = {**model.parameters(), **head.parameters()}
+    opt = adam_init(all_params, lr=lr)
+    drop_rng = np.random.default_rng(seed + 211)
+
+    def set_all(params):
+        model.set_parameters(params)
+        head.set_parameters(params)
+
+    def predict():
+        tape = Tape()
+        z, _ = model.forward(tape, adj, graph.features, mode)
+        logits, _ = head.forward(tape, z, mode)
+        return logits.data.argmax(axis=1)
+
+    records = []
+    times = []
+    best_val, best_params, stale = -np.inf, copy.deepcopy(all_params), 0
+    for epoch in range(epochs):
+        start = time.perf_counter()
+        tape = Tape()
+        z, nodes = model.forward(tape, adj, graph.features, mode, drop_rng)
+        logits, head_nodes = head.forward(tape, z, mode)
+        train_logits = ad.gather_rows(logits, train_idx)
+        loss = nc_loss(train_logits, graph.labels[train_idx])
+        tape.backward(loss)
+        nodes.update(head_nodes)
+        params = {**model.parameters(), **head.parameters()}
+        new_params = adam_step(opt, params, _grads_of(nodes))
+        set_all(new_params)
+        elapsed = time.perf_counter() - start
+        times.append(elapsed)
+
+        preds = predict()
+        val = (
+            float(np.mean(preds[val_idx] == graph.labels[val_idx]))
+            if len(val_idx)
+            else float("nan")
+        )
+        records.append(EpochRecord(epoch, loss.item(), val, elapsed))
+        if np.isfinite(val):
+            if val > best_val:
+                best_val, best_params, stale = val, copy.deepcopy(new_params), 0
+            else:
+                stale += 1
+                if stale >= patience:
+                    break
+        else:
+            best_params = copy.deepcopy(new_params)
+
+    set_all(best_params)
+    preds = predict()
+    average = "binary" if num_classes == 2 else "macro"
+    metrics = classification_metrics(preds[test_idx], graph.labels[test_idx], average)
+    return TrainResult(best_params, records, metrics, np.asarray(times))
+
+
+def reference_graph_regression(config, graphs, seed=0, epochs=200, patience=100,
+                               lr=0.01, ratios=(0.7, 0.15, 0.15), mode=Precision.DOUBLE):
+    targets = np.array([g.graph_target for g in graphs], dtype=np.float64)
+    union, membership = _disjoint_union(graphs)
+    adj = normalized_adjacency(union)
+    train_g, val_g, test_g = split_nodes(len(graphs), ratios, seed)
+    model = GraphModel(config, union.features.shape[1], seed=seed)
+    head = RegressionHead(config.hidden_dim, config.hidden_dim, seed=seed + 1)
+    all_params = {**model.parameters(), **head.parameters()}
+    opt = adam_init(all_params, lr=lr)
+
+    def set_all(params):
+        model.set_parameters(params)
+        head.set_parameters(params)
+
+    def predictions():
+        tape = Tape()
+        z, _ = model.forward(tape, adj, union.features, mode)
+        pred, _ = head.forward(tape, z, membership, mode)
+        return pred.data.reshape(-1)
+
+    records = []
+    times = []
+    best_val, best_params, stale = np.inf, copy.deepcopy(all_params), 0
+    for epoch in range(epochs):
+        start = time.perf_counter()
+        tape = Tape()
+        z, nodes = model.forward(tape, adj, union.features, mode)
+        pred, head_nodes = head.forward(tape, z, membership, mode)
+        train_pred = ad.gather_rows(pred, train_g)
+        loss = gr_loss(train_pred, targets[train_g])
+        tape.backward(loss)
+        nodes.update(head_nodes)
+        params = {**model.parameters(), **head.parameters()}
+        new_params = adam_step(opt, params, _grads_of(nodes))
+        set_all(new_params)
+        elapsed = time.perf_counter() - start
+        times.append(elapsed)
+
+        preds = predictions()
+        val = (
+            mean_absolute_error(preds[val_g], targets[val_g])
+            if len(val_g)
+            else float("nan")
+        )
+        records.append(EpochRecord(epoch, loss.item(), val, elapsed))
+        if np.isfinite(val):
+            if val < best_val:
+                best_val, best_params, stale = val, copy.deepcopy(new_params), 0
+            else:
+                stale += 1
+                if stale >= patience:
+                    break
+        else:
+            best_params = copy.deepcopy(new_params)
+
+    set_all(best_params)
+    preds = predictions()
+    metrics = {"mae": mean_absolute_error(preds[test_g], targets[test_g])}
+    return TrainResult(best_params, records, metrics, np.asarray(times))
+
+
+def assert_same_trajectory(got, want):
+    assert list(got.params) == list(want.params)
+    for k in want.params:
+        assert np.array_equal(got.params[k], want.params[k]), k
+    assert [r.epoch for r in got.records] == [r.epoch for r in want.records]
+    assert [r.train_loss for r in got.records] == [r.train_loss for r in want.records]
+    np.testing.assert_array_equal([r.val_metric for r in got.records],
+                                  [r.val_metric for r in want.records])
+    assert len(got.epoch_times) == len(got.records)
+    assert list(got.test_metrics) == list(want.test_metrics)
+    np.testing.assert_array_equal(list(got.test_metrics.values()),
+                                  list(want.test_metrics.values()))
+
+
+@pytest.fixture(scope="module")
+def disconnected_setup():
+    graph = erdos_graph(60, 0.04, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        split = split_edges(graph, (0.85, 0.05, 0.10), seed=1)
+    return graph, split
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ["shgcn", "hgcn-agg0", "gcn"])
+def test_link_prediction_matches_reference(small_tree_setup, disconnected_setup,
+                                           kind, dropout):
+    config = ModelConfig(layer_kind=kind, num_layers=2, hidden_dim=8, dropout=dropout)
+    stopped = 0
+    for graph, split in (small_tree_setup, disconnected_setup):
+        for patience in (2, 100):
+            kw = dict(seed=1, epochs=15, patience=patience, lr=0.02)
+            got = train_link_prediction(config, graph, split, **kw)
+            assert_same_trajectory(got, reference_link_prediction(config, graph, split, **kw))
+            stopped += len(got.records) < 15
+    assert stopped  # the early-stopping exit is among the compared runs
+
+
+def test_link_prediction_matches_reference_without_validation_pairs(small_tree_setup):
+    graph, split = small_tree_setup
+    empty = np.zeros((0, 2), dtype=np.int64)
+    split = dataclasses.replace(split, val_pos=empty, val_neg=empty)
+    config = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=8)
+    got = train_link_prediction(config, graph, split, seed=0, epochs=6, patience=1)
+    assert len(got.records) == 6 and all(np.isnan(r.val_metric) for r in got.records)
+    assert_same_trajectory(got, reference_link_prediction(config, graph, split, seed=0,
+                                                          epochs=6, patience=1))
+
+
+def test_link_prediction_matches_reference_in_half_precision(small_tree_setup):
+    graph, split = small_tree_setup
+    config = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=8)
+    kw = dict(seed=2, epochs=8, mode=Precision.HALF)
+    assert_same_trajectory(train_link_prediction(config, graph, split, **kw),
+                           reference_link_prediction(config, graph, split, **kw))
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ["shgcn", "gcn"])
+def test_node_classification_matches_reference(small_tree_setup, kind, dropout):
+    graph, _ = small_tree_setup
+    config = ModelConfig(layer_kind=kind, num_layers=2, hidden_dim=8, dropout=dropout)
+    for patience in (0, 2, 100):
+        kw = dict(seed=0, epochs=15, patience=patience, lr=0.02, mode=Precision.SINGLE)
+        assert_same_trajectory(train_node_classification(config, graph, **kw),
+                               reference_node_classification(config, graph, **kw))
+
+
+@pytest.mark.parametrize("kind", ["shgcn", "hgcn-agg0"])
+def test_graph_regression_matches_reference_without_dropout(kind):
+    graphs = regression_family()
+    config = ModelConfig(layer_kind=kind, num_layers=2, hidden_dim=6)
+    for patience in (2, 100):
+        kw = dict(seed=0, epochs=15, patience=patience, lr=0.02, mode=Precision.SINGLE)
+        assert_same_trajectory(train_graph_regression(config, graphs, **kw),
+                               reference_graph_regression(config, graphs, **kw))
+
+
+@pytest.mark.parametrize("dropout, forwards", [(0.0, 12), (0.2, 21)])
+def test_forwards_per_call(small_tree_setup, monkeypatch, dropout, forwards):
+    """Without dropout each epoch's training forward doubles as the previous
+    epoch's validation forward: epochs + 2 forwards instead of 2 * epochs + 1."""
+    graph, split = small_tree_setup
+    calls = []
+    original = GraphModel.forward
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphModel, "forward", counting)
+    config = ModelConfig(layer_kind="gcn", num_layers=2, hidden_dim=8, dropout=dropout)
+    result = train_link_prediction(config, graph, split, seed=0, epochs=10)
+    assert len(result.records) == 10
+    assert len(calls) == forwards
 
 
 # ---------------------------------------------------------------------------
