@@ -15,7 +15,17 @@ Array ownership:
   the Matrix adopts it without a copy.  Backward closures may keep a
   reference to it for reading.
 - Every stored array is read-only.  Gradient buffers (``Node.grad``) are
-  plain writable arrays that ``Tape.backward`` allocates.
+  plain writable C-contiguous float64 arrays.
+
+Gradients: ``Tape.variable`` makes a leaf that wants a gradient and
+``Tape.constant`` one that never gets one.  A node computed from constants
+alone needs no gradient either; it keeps no parents and no backward rule,
+and backward rules skip the work for any operand that needs none.  During
+``Tape.backward`` a node's buffer is created by its first contribution:
+adopted when the closure computed it fresh, copied when it is the incoming
+gradient or a view of one, so no two nodes share a buffer.  A node that no
+contribution reaches keeps ``grad is None`` and its rule never runs;
+variables among them get zeros once the sweep is done.
 
 Lifetime: a Node holds its Tape, its parents and its backward closure; the
 Tape holds its Nodes only through weak references.  There is no reference
@@ -64,7 +74,9 @@ class Matrix:
             rounded, overflow = raw, False
         else:
             rounded = round_array(raw, mode)
-            overflow = bool(np.any(np.isinf(rounded) & np.isfinite(raw)))
+            # saturation leaves an infinity, so an all-finite result has none
+            overflow = not np.isfinite(rounded).all() and bool(
+                np.any(np.isinf(rounded) & np.isfinite(raw)))
         rounded.setflags(write=False)
         object.__setattr__(self, "data", rounded)
         object.__setattr__(self, "mode", mode)
@@ -91,17 +103,26 @@ class Matrix:
 
 class Node:
     """A tape entry: a Matrix value plus links to its parents and the local
-    backward rule that scatters an incoming gradient to them."""
+    backward rule that scatters an incoming gradient to them.
 
-    __slots__ = ("value", "grad", "tape", "_parents", "_backward", "__weakref__")
+    `requires_grad` is False for constants and for nodes computed from
+    constants alone; those are left off the tape's sweep and their `grad`
+    stays None.  Otherwise `grad` is None until backward sends the node its
+    first contribution."""
 
-    def __init__(self, value: Matrix, tape: "Tape", parents=(), backward=None):
+    __slots__ = ("value", "grad", "tape", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
+
+    def __init__(self, value: Matrix, tape: "Tape", parents=(), backward=None,
+                 requires_grad: bool = True):
         self.value = value
         self.grad = None
         self.tape = tape
+        self.requires_grad = requires_grad
         self._parents = tuple(parents)
         self._backward = backward
-        tape._nodes.append(weakref.ref(self))
+        if requires_grad:
+            tape._nodes.append(weakref.ref(self))
 
     @property
     def data(self) -> np.ndarray:
@@ -172,11 +193,16 @@ class Tape:
         return Node(value, self)
 
     def constant(self, data, mode: Precision = Precision.DOUBLE) -> Node:
-        return self.variable(data, mode)
+        """A leaf that gets no gradient: its `grad` stays None and backward
+        rules compute nothing for it."""
+        value = data if isinstance(data, Matrix) else Matrix(data, mode)
+        return Node(value, self, requires_grad=False)
 
     def backward(self, root: Node) -> None:
-        """Reverse accumulation from a scalar root.  Every node reachable
-        from the root receives its gradient; unreachable nodes keep zeros."""
+        """Reverse accumulation from a scalar root.  Each node that the
+        root's gradient reaches gets a buffer of its own, created by its
+        first contribution; a node it does not reach keeps None, except
+        that variables get zeros.  Constants keep None."""
         if root.tape is not self:
             raise ShapeError("root node belongs to a different tape")
         if root.value.shape != (1, 1):
@@ -185,11 +211,15 @@ class Tape:
             )
         nodes = [node for node in (ref() for ref in self._nodes) if node is not None]
         for node in nodes:
-            node.grad = np.zeros(node.value.shape, dtype=np.float64)
-        root.grad = np.ones((1, 1), dtype=np.float64)
+            node.grad = None
+        if root.requires_grad:
+            root.grad = np.ones((1, 1), dtype=np.float64)
         for node in reversed(nodes):
-            if node._backward is not None and node.grad.any():
+            if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+        for node in nodes:
+            if node.grad is None and node._backward is None:  # an unreached variable
+                node.grad = np.zeros(node.value.shape, dtype=np.float64)
 
 
 def _same_mode(*nodes: Node) -> Precision:
@@ -204,8 +234,38 @@ def _same_mode(*nodes: Node) -> Precision:
 
 def _make(raw: np.ndarray, mode: Precision, tape: Tape, parents, backward) -> Node:
     """Record a primitive's result; `raw` must be a fresh C-contiguous
-    float64 array that the caller hands over."""
-    return Node(Matrix._adopt(raw, mode), tape, parents, backward)
+    float64 array that the caller hands over.  A result of constants alone
+    drops its parents and backward rule."""
+    value = Matrix._adopt(raw, mode)
+    if any(p.requires_grad for p in parents):
+        return Node(value, tape, parents, backward)
+    return Node(value, tape, requires_grad=False)
+
+
+def _accumulate(node: Node, g: np.ndarray, fresh: bool) -> None:
+    """Add contribution `g` to node's gradient.  The first contribution
+    becomes the buffer: adopted when `fresh` (a new array that nothing else
+    holds), otherwise copied and broadcast to the node's shape."""
+    if node.grad is not None:
+        node.grad += g
+    elif fresh and g.shape == node.value.shape and g.flags.c_contiguous:
+        node.grad = g
+    else:
+        node.grad = np.broadcast_to(g, node.value.shape).copy()
+
+
+def _buffer(node: Node) -> np.ndarray:
+    """Node's gradient buffer for a scatter, created as zeros if absent."""
+    if node.grad is None:
+        node.grad = np.zeros(node.value.shape, dtype=np.float64)
+    return node.grad
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x with NaN and infinities set to zero; x itself when all finite."""
+    if np.isfinite(x).all():
+        return x
+    return np.nan_to_num(x, nan=0.0, posinf=0.0, neginf=0.0)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -227,8 +287,10 @@ def add(a: Node, b: Node) -> Node:
     mode = _same_mode(a, b)
 
     def backward(g):
-        a.grad += _unbroadcast(g, a.shape)
-        b.grad += _unbroadcast(g, b.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape), fresh=False)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape), fresh=False)
 
     return _make(a.data + b.data, mode, a.tape, (a, b), backward)
 
@@ -237,8 +299,10 @@ def sub(a: Node, b: Node) -> Node:
     mode = _same_mode(a, b)
 
     def backward(g):
-        a.grad += _unbroadcast(g, a.shape)
-        b.grad -= _unbroadcast(g, b.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape), fresh=False)
+        if b.requires_grad:  # x + (-y) is x - y exactly
+            _accumulate(b, -_unbroadcast(g, b.shape), fresh=True)
 
     return _make(a.data - b.data, mode, a.tape, (a, b), backward)
 
@@ -247,8 +311,10 @@ def mul(a: Node, b: Node) -> Node:
     mode = _same_mode(a, b)
 
     def backward(g):
-        a.grad += _unbroadcast(g * b.data, a.shape)
-        b.grad += _unbroadcast(g * a.data, b.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _make(a.data * b.data, mode, a.tape, (a, b), backward)
 
@@ -258,10 +324,11 @@ def div(a: Node, b: Node) -> Node:
 
     def backward(g):
         with np.errstate(divide="ignore", invalid="ignore"):
-            ga = g / b.data
-            gb = -g * a.data / (b.data * b.data)
-        a.grad += _unbroadcast(np.nan_to_num(ga, nan=0.0, posinf=0.0, neginf=0.0), a.shape)
-        b.grad += _unbroadcast(np.nan_to_num(gb, nan=0.0, posinf=0.0, neginf=0.0), b.shape)
+            if a.requires_grad:
+                _accumulate(a, _unbroadcast(_finite(g / b.data), a.shape), fresh=True)
+            if b.requires_grad:
+                gb = -g * a.data / (b.data * b.data)
+                _accumulate(b, _unbroadcast(_finite(gb), b.shape), fresh=True)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = a.data / b.data
@@ -279,8 +346,10 @@ def matmul(a: Node, b: Node) -> Node:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
     def backward(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T, fresh=True)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g, fresh=True)
 
     return _make(a.data @ b.data, mode, a.tape, (a, b), backward)
 
@@ -293,14 +362,14 @@ def sparse_matmul(sparse, x: Node) -> Node:
     def backward(g):
         # the transpose of a CSR operator is a CSC view of the same arrays,
         # and its product adds terms in the same order as a rebuilt CSR
-        x.grad += sparse.T @ g
+        _accumulate(x, sparse.T @ g, fresh=True)
 
     return _make(sparse @ x.data, x.mode, x.tape, (x,), backward)
 
 
 def transpose(a: Node) -> Node:
     def backward(g):
-        a.grad += g.T
+        _accumulate(a, g.T, fresh=False)
 
     return _make(a.data.T.copy(), a.mode, a.tape, (a,), backward)
 
@@ -309,7 +378,11 @@ def gather_rows(a: Node, index) -> Node:
     index = np.asarray(index, dtype=np.intp)
 
     def backward(g):
-        np.add.at(a.grad, index, g)
+        # one scalar scatter on the flat buffer adds to each entry in the
+        # same order as a row scatter, and runs several times faster
+        d = g.shape[1]
+        flat = (index[:, None] * d + np.arange(d)).reshape(-1)
+        np.add.at(_buffer(a).reshape(-1), flat, g.reshape(-1))
 
     return _make(a.data[index], a.mode, a.tape, (a,), backward)
 
@@ -321,7 +394,7 @@ def gather_rows(a: Node, index) -> Node:
 
 def sum_all(a: Node) -> Node:
     def backward(g):
-        a.grad += g[0, 0]
+        _accumulate(a, g, fresh=False)
 
     return _make(np.array([[a.data.sum()]]), a.mode, a.tape, (a,), backward)
 
@@ -330,7 +403,7 @@ def mean_all(a: Node) -> Node:
     size = a.data.size
 
     def backward(g):
-        a.grad += g[0, 0] / size
+        _accumulate(a, g / size, fresh=False)
 
     return _make(np.array([[a.data.mean()]]), a.mode, a.tape, (a,), backward)
 
@@ -339,19 +412,23 @@ def row_sum(a: Node) -> Node:
     """Sum along each row -> (n, 1)."""
 
     def backward(g):
-        a.grad += g  # broadcasts (n,1) over (n,d)
+        _accumulate(a, g, fresh=False)  # broadcasts (n,1) over (n,d)
 
     return _make(a.data.sum(axis=1, keepdims=True), a.mode, a.tape, (a,), backward)
 
 
 def row_norm(a: Node) -> Node:
-    """Euclidean norm of each row -> (n, 1), accumulated in double."""
-    raw = np.linalg.norm(a.data, axis=1, keepdims=True)
+    """Euclidean norm of each row -> (n, 1), accumulated in double.  Zero
+    rows send no gradient."""
+    raw = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))  # == np.linalg.norm
 
     def backward(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direction = np.where(raw > 0, a.data / np.where(raw > 0, raw, 1.0), 0.0)
-        a.grad += g * direction
+        if (raw > 0).all():
+            direction = a.data / raw
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                direction = np.where(raw > 0, a.data / np.where(raw > 0, raw, 1.0), 0.0)
+        _accumulate(a, g * direction, fresh=True)
 
     return _make(raw, a.mode, a.tape, (a,), backward)
 
@@ -365,7 +442,7 @@ def _elementwise(a: Node, fn, dfn) -> Node:
     raw = fn(a.data)
 
     def backward(g):
-        a.grad += g * dfn(a.data, raw)
+        _accumulate(a, g * dfn(a.data, raw), fresh=True)
 
     return _make(raw, a.mode, a.tape, (a,), backward)
 
@@ -398,7 +475,7 @@ def sigmoid(a: Node) -> Node:
     raw = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward(g):
-        a.grad += g * raw * (1.0 - raw)
+        _accumulate(a, g * raw * (1.0 - raw), fresh=True)
 
     return _make(raw, a.mode, a.tape, (a,), backward)
 
@@ -407,7 +484,7 @@ def exp(a: Node) -> Node:
     raw = np.exp(a.data)
 
     def backward(g):
-        a.grad += g * raw
+        _accumulate(a, g * raw, fresh=True)
 
     return _make(raw, a.mode, a.tape, (a,), backward)
 
@@ -420,7 +497,7 @@ def sqrt(a: Node) -> Node:
     raw = np.sqrt(a.data)
 
     def backward(g):
-        a.grad += g * 0.5 / raw
+        _accumulate(a, g * 0.5 / raw, fresh=True)
 
     return _make(raw, a.mode, a.tape, (a,), backward)
 
@@ -470,19 +547,22 @@ def clamp(a: Node, lo: float, hi: float) -> Node:
     raw = np.clip(a.data, lo, hi)
 
     def backward(g):
-        a.grad += g * ((a.data > lo) & (a.data < hi))
+        _accumulate(a, g * ((a.data > lo) & (a.data < hi)), fresh=True)
 
     return _make(raw, a.mode, a.tape, (a,), backward)
 
 
 def minimum(a: Node, b: Node) -> Node:
-    """Elementwise minimum; ties route the gradient to the first operand."""
+    """Elementwise minimum; ties route the gradient to the first operand.
+    An operand that no entry routes to gets no contribution."""
     mode = _same_mode(a, b)
     take_a = a.data <= b.data
 
     def backward(g):
-        a.grad += _unbroadcast(np.where(take_a, g, 0.0), a.shape)
-        b.grad += _unbroadcast(np.where(take_a, 0.0, g), b.shape)
+        if a.requires_grad and take_a.any():
+            _accumulate(a, _unbroadcast(np.where(take_a, g, 0.0), a.shape), fresh=True)
+        if b.requires_grad and not take_a.all():
+            _accumulate(b, _unbroadcast(np.where(take_a, 0.0, g), b.shape), fresh=True)
 
     return _make(np.minimum(a.data, b.data), mode, a.tape, (a, b), backward)
 
@@ -509,7 +589,7 @@ def cross_entropy(logits: Node, labels) -> Node:
     def backward(g):
         local = softmax.copy()
         local[np.arange(n), labels] -= 1.0
-        logits.grad += g[0, 0] * local / n
+        _accumulate(logits, g[0, 0] * local / n, fresh=True)
 
     return _make(np.array([[ce]]), logits.mode, logits.tape, (logits,), backward)
 
@@ -540,8 +620,9 @@ def median_pool(a: Node, groups) -> Node:
     cols = np.arange(d)
 
     def backward(g):
+        grad = _buffer(a)
         for gi, src, w in routes:
-            a.grad[src, cols] += w * g[gi]
+            grad[src, cols] += w * g[gi]
 
     return _make(out, a.mode, a.tape, (a,), backward)
 
@@ -555,7 +636,7 @@ def dropout(a: Node, p: float, rng: np.random.Generator) -> Node:
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
 
     def backward(g):
-        a.grad += g * mask
+        _accumulate(a, g * mask, fresh=True)
 
     return _make(a.data * mask, a.mode, a.tape, (a,), backward)
 

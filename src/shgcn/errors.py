@@ -12,3 +12,7 @@ class BoundaryCollapseError(ValueError):
 
 class PrecisionOverflowError(BoundaryCollapseError):
     """A finite quantity saturated to infinity under the active rounding mode."""
+
+
+class NonFiniteError(ValueError):
+    """Training produced a non-finite loss or parameter."""

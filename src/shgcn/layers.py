@@ -338,7 +338,7 @@ class GraphModel:
         """Euclidean embeddings (n, hidden_dim) plus the parameter node map
         (for reading gradients after backward)."""
         nodes = self._register(tape, mode)
-        h = tape.variable(Matrix(features, mode))
+        h = tape.constant(Matrix(features, mode))  # no gradient flows to the input
         kind = self.config.layer_kind
         n_layers = self.config.num_layers
 

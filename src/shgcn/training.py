@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Matrix, Node, Tape
+from .errors import NonFiniteError
 from .graphs import (
     EdgeSplit,
     Graph,
@@ -138,6 +139,17 @@ def _grads_of(nodes: dict) -> dict:
     return {name: node.grad for name, node in nodes.items()}
 
 
+def _check_finite(epoch: int, loss: float, stepped: dict) -> None:
+    """Stop training before a non-finite value reaches a record or the best
+    parameters."""
+    if not np.isfinite(loss):
+        raise NonFiniteError(f"epoch {epoch}: training loss is {loss}")
+    for name, value in stepped.items():
+        if not np.isfinite(value).all():
+            raise NonFiniteError(
+                f"epoch {epoch}: parameter {name!r} is not finite after the Adam step")
+
+
 def _fit(model: GraphModel, head, forward, loss_of, val_of, *, higher_is_better: bool,
          seed: int, epochs: int, patience: int, lr: float):
     """The epoch loop of every trainer: Adam, early stopping on a validation
@@ -145,7 +157,8 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, *, higher_is_better:
     head) on a new tape and returns the output and parameter nodes,
     `loss_of(out)` builds the loss on that tape and `val_of(matrix)` scores
     an evaluation output.  Returns (best params, records, epoch times) with
-    the best params set."""
+    the best params set.  Raises NonFiniteError when the loss or a stepped
+    parameter is not finite."""
     modules = [model] if head is None else [model, head]
 
     def params() -> dict:
@@ -189,6 +202,7 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, *, higher_is_better:
         loss = loss_of(out)
         out.tape.backward(loss)
         stepped = adam_step(opt, params(), _grads_of(nodes))
+        _check_finite(len(times), loss.item(), stepped)
         set_params(stepped)
         times.append(time.perf_counter() - start)
         pending = (loss.item(), stepped)
@@ -203,7 +217,7 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, *, higher_is_better:
 def _lp_auc(z: Matrix, pos, neg, decoder: DecoderConfig) -> float:
     if len(pos) == 0 or len(neg) == 0:
         return float("nan")
-    z = Tape().variable(z)  # adopts the Matrix: no copy, no node on the training tape
+    z = Tape().constant(z)  # adopts the Matrix: no copy, no node on the training tape
     pos_s = fermi_dirac_edge_scores(z, pos, decoder.r, decoder.t).data.reshape(-1)
     neg_s = fermi_dirac_edge_scores(z, neg, decoder.r, decoder.t).data.reshape(-1)
     scores = np.concatenate([pos_s, neg_s])

@@ -331,3 +331,140 @@ def test_gradients_stay_double_in_single_mode():
     x = tape.variable(Matrix(np.array([[0.1, 0.2]]), Precision.SINGLE))
     tape.backward(ad.sum_all(ad.tanh(x)))
     assert x.grad.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# backward engine contract: constants, lazy buffers, fast paths
+# ---------------------------------------------------------------------------
+
+
+def _live_nodes(root):
+    stack, seen = [root], {}
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_constants_get_no_gradient_and_no_work(monkeypatch):
+    sent_to, accumulate = [], ad._accumulate
+
+    def recording(node, g, fresh):
+        sent_to.append(node)
+        accumulate(node, g, fresh)
+
+    monkeypatch.setattr(ad, "_accumulate", recording)
+    tape = Tape()
+    x = tape.variable(X_SMALL)
+    k = tape.constant(W_42)
+    kk = k * 2.0  # computed from constants alone
+    assert not k.requires_grad and not kk.requires_grad
+    assert kk._parents == () and kk._backward is None
+    loss = ad.sum_all(ad.tanh(x @ kk)) - ad.sum_all(k.T @ k)
+    tape.backward(loss)
+    assert k.grad is None and kk.grad is None
+    assert not any(node is k or node is kk for node in sent_to)
+    assert np.array_equal(x.grad, (1.0 - np.tanh(X_SMALL @ (W_42 * 2.0)) ** 2) @ (W_42 * 2.0).T)
+
+
+@pytest.mark.parametrize("op,expected", [
+    (ad.add, lambda x: np.full_like(x, 2.0)),
+    (ad.sub, lambda x: np.zeros_like(x)),
+    (ad.mul, lambda x: 2.0 * x),
+])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
+def test_same_operand_twice_gets_its_own_buffer(op, expected, shape):
+    value = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 7.0
+    tape = Tape()
+    x = tape.variable(value)
+    out = op(x, x)
+    root = out if shape == (1, 1) else ad.sum_all(out)
+    tape.backward(root)
+    assert np.array_equal(x.grad, expected(value))
+    assert np.array_equal(root.grad, [[1.0]])  # the incoming gradient is left alone
+    nodes = _live_nodes(root)
+    for i, a in enumerate(nodes):
+        assert a.grad.flags.c_contiguous and a.grad.flags.writeable
+        for b in nodes[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_flat_gather_scatter_matches_row_scatter_bit_for_bit():
+    rng = np.random.default_rng(3)
+    x0 = rng.normal(size=(5, 4))
+    index = np.array([4, 0, 4, 4, 2, 0, 1, 4])
+    w = rng.normal(size=(len(index), 4))
+    v = rng.normal(size=(5, 4))
+    tape = Tape()
+    x = tape.variable(x0)
+    # recorded after the gather, so its contribution makes x's buffer
+    # nonzero before the scatter runs
+    loss = ad.sum_all(ad.gather_rows(x, index) * tape.constant(w)) + ad.sum_all(x * tape.constant(v))
+    tape.backward(loss)
+    expected = v.copy()
+    np.add.at(expected, index, w)
+    assert np.array_equal(x.grad, expected)
+
+
+def _old_div_grads(a, b):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ga, gb = 1.0 / b, -1.0 * a / (b * b)
+    clean = lambda t: np.nan_to_num(t, nan=0.0, posinf=0.0, neginf=0.0)  # noqa: E731
+    return clean(ga), clean(gb)
+
+
+@pytest.mark.parametrize("b0", [X_POS + 3.0, np.where(X_POS > 1.0, 0.0, X_POS)],
+                         ids=["finite", "zero-divisor"])
+def test_div_gradients_on_fast_path_and_fallback(b0):
+    tape = Tape()
+    a, b = tape.variable(X_SMALL), tape.variable(b0)
+    with np.errstate(invalid="ignore"):  # inf - inf in the forward sum
+        tape.backward(ad.sum_all(a / b))
+    ga, gb = _old_div_grads(X_SMALL, b0)
+    assert np.array_equal(a.grad, ga) and np.array_equal(b.grad, gb)
+
+
+@pytest.mark.parametrize("x0", [X_SMALL, np.vstack([X_SMALL[:1], np.zeros((1, 4)), X_SMALL[2:]])],
+                         ids=["positive-norms", "zero-row"])
+def test_row_norm_on_fast_path_and_fallback(x0):
+    tape = Tape()
+    x = tape.variable(x0)
+    norms = ad.row_norm(x)
+    raw = np.linalg.norm(x0, axis=1, keepdims=True)
+    assert np.array_equal(norms.data, raw)
+    tape.backward(ad.sum_all(norms * tape.constant(W_42[:3, :1])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direction = np.where(raw > 0, x0 / np.where(raw > 0, raw, 1.0), 0.0)
+    assert np.array_equal(x.grad, W_42[:3, :1] * direction)
+    assert np.all(np.isfinite(x.grad))
+
+
+@pytest.mark.parametrize("low_side", ["first", "second"])
+def test_minimum_sends_nothing_to_an_operand_it_never_routes_to(low_side):
+    tape = Tape()
+    x, y = tape.variable(X_BALL), tape.variable(X_BALL + 5.0)
+    low, high = ad.tanh(x), ad.exp(y)  # tanh < 1 < exp(4.4) everywhere
+    out = ad.minimum(low, high) if low_side == "first" else ad.minimum(high, low)
+    tape.backward(ad.sum_all(out))
+    assert high.grad is None  # its backward rule never ran
+    assert np.array_equal(y.grad, np.zeros_like(X_BALL))  # unreached variable
+    assert np.array_equal(x.grad, 1.0 - np.tanh(X_BALL) ** 2)
+
+
+@pytest.mark.parametrize("mode,big", [(Precision.HALF, 1e6), (Precision.SINGLE, 1e39)])
+@pytest.mark.parametrize("case", ["finite", "saturating", "nan", "inf", "nan-and-saturating"])
+def test_matrix_overflow_flag_matches_the_full_scan(mode, big, case):
+    from shgcn.precision import saturates
+
+    raw = {
+        "finite": [[1.0, -2.5]],
+        "saturating": [[1.0, -big]],
+        "nan": [[np.nan, 1.0]],
+        "inf": [[np.inf, 1.0]],
+        "nan-and-saturating": [[np.nan, big]],
+    }[case]
+    m = Matrix(raw, mode)
+    assert m.overflow == saturates(np.array(raw), mode)
+    assert m.overflow == (case in ("saturating", "nan-and-saturating"))

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from shgcn import training
 from shgcn.cli import main
 
 
@@ -313,3 +314,23 @@ def test_env_var_default_out_dir(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "envout" / "stability.csv").exists()
+
+
+def test_run_non_finite_parameter_exits_1_without_output(tmp_path, monkeypatch, capsys):
+    real = training.adam_step
+
+    def step(state, params, grads):
+        out = real(state, params, grads)
+        out["w0"] = out["w0"] * np.nan
+        return out
+
+    monkeypatch.setattr(training, "adam_step", step)
+    out_dir = tmp_path / "nan"
+    code, out, err = run_cli(
+        ["run", "--task", "lp", "--synthetic", "tree:2,3", "--epochs", "3",
+         "--dim", "4", "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 1
+    assert "runtime failure: epoch 0: parameter 'w0' is not finite" in err
+    assert not out_dir.exists()

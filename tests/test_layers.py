@@ -377,3 +377,47 @@ def test_shgcn_layer_gradient_wrt_all_params():
                             np.array([[theta]]))
     for node, fd in zip(nodes, (fd_w, fd_b, fd_t)):
         assert np.max(np.abs(node.grad - fd) / np.maximum(1, np.abs(fd))) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the input as a constant leaf
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [DOUBLE, Precision.SINGLE])
+@pytest.mark.parametrize("kind", ["shgcn", "hgcn-agg0", "gcn"])
+@pytest.mark.parametrize("as_variable", ["features", "every constant"])
+def test_constant_features_leave_parameter_gradients_bit_identical(
+        kind, mode, as_variable, monkeypatch):
+    from shgcn.graphs import sample_negative_edges, tree_graph
+    from shgcn.training import lp_loss
+
+    graph = tree_graph(2, 4)
+    adj = normalized_adjacency(graph)
+    model = GraphModel(ModelConfig(layer_kind=kind, num_layers=2, hidden_dim=6),
+                       graph.features.shape[1], seed=5)
+    neg = sample_negative_edges(graph, len(graph.edges), np.random.default_rng(5))
+
+    def grads():
+        tape = Tape()
+        z, nodes = model.forward(tape, adj, graph.features, mode)
+        tape.backward(lp_loss(fermi_dirac_edge_scores(z, graph.edges),
+                              fermi_dirac_edge_scores(z, neg)))
+        return {name: node.grad for name, node in nodes.items()}
+
+    as_constant = grads()
+    constant, made = Tape.constant, []
+
+    def variable_instead(self, data, mode=DOUBLE):
+        is_features = np.shape(getattr(data, "data", data)) == graph.features.shape
+        if as_variable == "features" and not is_features:
+            return constant(self, data, mode)
+        made.append(self.variable(data, mode))
+        return made[-1]
+
+    monkeypatch.setattr(Tape, "constant", variable_instead)
+    as_variables = grads()
+    assert made and made[0].grad is not None  # the input did take a gradient
+    assert as_constant.keys() == as_variables.keys()
+    for name in as_constant:
+        assert np.array_equal(as_constant[name], as_variables[name]), name

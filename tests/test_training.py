@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from shgcn import autodiff as ad
+from shgcn import training
 from shgcn.autodiff import Tape, finite_diff_grad
+from shgcn.errors import NonFiniteError
 from shgcn.graphs import (
     Graph,
     erdos_graph,
@@ -573,3 +575,44 @@ def test_benchmark_needs_enough_epochs(small_tree_setup):
     graph, split = small_tree_setup
     with pytest.raises(ValueError):
         benchmark_models(["gcn", "shgcn"], graph, split, epochs=3)
+
+
+# ---------------------------------------------------------------------------
+# non-finite values stop training
+# ---------------------------------------------------------------------------
+
+
+def poison_step(monkeypatch, at_step: int, name: str):
+    """Make the Adam step number `at_step` (1-based) return NaN in `name`."""
+    real = training.adam_step
+
+    def step(state, params, grads):
+        out = real(state, params, grads)
+        if state.step_count == at_step:
+            out[name] = np.full_like(out[name], np.nan)
+        return out
+
+    monkeypatch.setattr(training, "adam_step", step)
+
+
+@pytest.mark.parametrize("task", ["lp", "nc", "gr"])
+def test_non_finite_parameter_stops_training(small_tree_setup, monkeypatch, task):
+    graph, split = small_tree_setup
+    config = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=4)
+    poison_step(monkeypatch, 3, "b1")
+    with pytest.raises(NonFiniteError, match=r"epoch 2: parameter 'b1'"):
+        if task == "gr":
+            train_graph_regression(config, regression_family(), seed=0, epochs=6)
+        else:
+            train_model(config, graph, split if task == "lp" else None, task=task,
+                        seed=0, epochs=6)
+
+
+def test_non_finite_loss_stops_training(small_tree_setup, monkeypatch):
+    graph, split = small_tree_setup
+    real = training.lp_loss
+    monkeypatch.setattr(training, "lp_loss",
+                        lambda pos, neg: real(pos, neg) * float("nan"))
+    with pytest.raises(NonFiniteError, match="epoch 0: training loss is nan"):
+        train_model(ModelConfig(num_layers=1, hidden_dim=4), graph, split, task="lp",
+                    seed=0, epochs=3)
