@@ -24,7 +24,6 @@ from .geometry import (
 from .graphs import (
     EdgeSplit,
     Graph,
-    NormalizedAdjacency,
     cycle_graph,
     delta_hyperbolicity,
     erdos_graph,

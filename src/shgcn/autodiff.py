@@ -12,22 +12,28 @@ Array ownership:
 - ``Matrix(data)`` and ``Tape.variable(data)`` copy outside input, so the
   caller may keep writing to its array without reaching the stored value.
 - A primitive's result is a fresh C-contiguous array that no caller holds;
-  the Matrix adopts it without a copy.  Backward closures may keep a
+  the Matrix adopts it without a copy.  Gradient rules may keep a
   reference to it for reading.
 - Every stored array is read-only.  Gradient buffers (``Node.grad``) are
   plain writable C-contiguous float64 arrays.
 
 Gradients: ``Tape.variable`` makes a leaf that wants a gradient and
-``Tape.constant`` one that never gets one.  A node computed from constants
-alone needs no gradient either; it keeps no parents and no backward rule,
-and backward rules skip the work for any operand that needs none.  During
+``Tape.constant`` one that never gets one.  A primitive is its forward
+expression plus one rule per operand, recorded by ``_record``.  A rule maps
+the incoming gradient ``g`` to that operand's contribution and returns a
+new array, ``g`` itself, a view of ``g``, or None when it sends nothing
+(scatters write into the operand's buffer and return None).  The engine,
+not the rule, decides the rest: it checks that the operands share one
+mode, keeps no parents and no rules for a node computed from constants
+alone, runs a rule only for an operand that needs a gradient, and sums a
+contribution down to a broadcast operand's shape.  During
 ``Tape.backward`` a node's buffer is created by its first contribution:
-adopted when the closure computed it fresh, copied when it is the incoming
-gradient or a view of one, so no two nodes share a buffer.  A node that no
-contribution reaches keeps ``grad is None`` and its rule never runs;
-variables among them get zeros once the sweep is done.
+adopted when it is a new array, copied when it is ``g`` or a view of it, so
+no two nodes share a buffer.  A node that no contribution reaches keeps
+``grad is None`` and its rules never run; variables among them get zeros
+once the sweep is done.
 
-Lifetime: a Node holds its Tape, its parents and its backward closure; the
+Lifetime: a Node holds its Tape, its parents and its backward rules; the
 Tape holds its Nodes only through weak references.  There is no reference
 cycle, so a tape and its arrays are freed by reference counting as soon as
 the caller drops the tape and every node of it, without waiting for the
@@ -222,24 +228,37 @@ class Tape:
                 node.grad = np.zeros(node.value.shape, dtype=np.float64)
 
 
-def _same_mode(*nodes: Node) -> Precision:
-    mode = nodes[0].mode
-    for n in nodes[1:]:
-        if n.mode is not mode:
-            raise ShapeError(
-                f"mixed precision modes: {mode.value} vs {n.mode.value}"
-            )
-    return mode
+def _record(raw: np.ndarray, operands: tuple, *rules) -> Node:
+    """Record a primitive's result, with one gradient rule per operand.
 
-
-def _make(raw: np.ndarray, mode: Precision, tape: Tape, parents, backward) -> Node:
-    """Record a primitive's result; `raw` must be a fresh C-contiguous
-    float64 array that the caller hands over.  A result of constants alone
-    drops its parents and backward rule."""
+    `raw` must be a fresh C-contiguous float64 array that the caller hands
+    over, and the operands must share one mode.  A rule maps the incoming
+    gradient `g` to its operand's contribution: a new array, `g` itself, a
+    view of `g`, or None when it sends nothing (a scatter writes into
+    `_buffer(operand)` and returns None).  The engine runs a rule only for
+    an operand that needs a gradient, sums the contribution down to a
+    broadcast operand's shape, and adopts it as the operand's buffer only
+    when it is neither `g` nor a view.  A result of constants alone drops
+    its operands and rules."""
+    first = operands[0]
+    mode = first.value.mode
+    for p in operands[1:]:
+        if p.value.mode is not mode:
+            raise ShapeError(f"mixed precision modes: {mode.value} vs {p.value.mode.value}")
     value = Matrix._adopt(raw, mode)
-    if any(p.requires_grad for p in parents):
-        return Node(value, tape, parents, backward)
-    return Node(value, tape, requires_grad=False)
+    sends = [(p, rule) for p, rule in zip(operands, rules) if p.requires_grad]
+    if not sends:
+        return Node(value, first.tape, requires_grad=False)
+
+    def backward(g):
+        for p, rule in sends:
+            c = rule(g)
+            if c is not None:
+                if c.shape != p.value.data.shape:
+                    c = _unbroadcast(c, p.value.data.shape)
+                _accumulate(p, c, fresh=c is not g and c.base is None)
+
+    return Node(value, first.tape, operands, backward)
 
 
 def _accumulate(node: Node, g: np.ndarray, fresh: bool) -> None:
@@ -284,55 +303,30 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a: Node, b: Node) -> Node:
-    mode = _same_mode(a, b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape), fresh=False)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape), fresh=False)
-
-    return _make(a.data + b.data, mode, a.tape, (a, b), backward)
+    return _record(a.data + b.data, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a: Node, b: Node) -> Node:
-    mode = _same_mode(a, b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape), fresh=False)
-        if b.requires_grad:  # x + (-y) is x - y exactly
-            _accumulate(b, -_unbroadcast(g, b.shape), fresh=True)
-
-    return _make(a.data - b.data, mode, a.tape, (a, b), backward)
+    # x + (-y) is x - y exactly
+    return _record(a.data - b.data, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a: Node, b: Node) -> Node:
-    mode = _same_mode(a, b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape), fresh=True)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape), fresh=True)
-
-    return _make(a.data * b.data, mode, a.tape, (a, b), backward)
+    return _record(a.data * b.data, (a, b), lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Node, b: Node) -> Node:
-    mode = _same_mode(a, b)
-
-    def backward(g):
+    def rule_a(g):
         with np.errstate(divide="ignore", invalid="ignore"):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(_finite(g / b.data), a.shape), fresh=True)
-            if b.requires_grad:
-                gb = -g * a.data / (b.data * b.data)
-                _accumulate(b, _unbroadcast(_finite(gb), b.shape), fresh=True)
+            return _finite(g / b.data)
+
+    def rule_b(g):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _finite(-g * a.data / (b.data * b.data))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = a.data / b.data
-    return _make(raw, mode, a.tape, (a, b), backward)
+    return _record(raw, (a, b), rule_a, rule_b)
 
 
 # ---------------------------------------------------------------------------
@@ -341,50 +335,35 @@ def div(a: Node, b: Node) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    mode = _same_mode(a, b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T, fresh=True)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g, fresh=True)
-
-    return _make(a.data @ b.data, mode, a.tape, (a, b), backward)
+    return _record(a.data @ b.data, (a, b), lambda g: g @ b.data.T, lambda g: a.data.T @ g)
 
 
 def sparse_matmul(sparse, x: Node) -> Node:
     """Multiply a constant scipy CSR operator against a dense node."""
     if sparse.shape[1] != x.shape[0]:
         raise ShapeError(f"sparse matmul shape mismatch: {sparse.shape} @ {x.shape}")
-
-    def backward(g):
-        # the transpose of a CSR operator is a CSC view of the same arrays,
-        # and its product adds terms in the same order as a rebuilt CSR
-        _accumulate(x, sparse.T @ g, fresh=True)
-
-    return _make(sparse @ x.data, x.mode, x.tape, (x,), backward)
+    # the transpose of a CSR operator is a CSC view of the same arrays, and
+    # its product adds terms in the same order as a rebuilt CSR
+    return _record(sparse @ x.data, (x,), lambda g: sparse.T @ g)
 
 
 def transpose(a: Node) -> Node:
-    def backward(g):
-        _accumulate(a, g.T, fresh=False)
-
-    return _make(a.data.T.copy(), a.mode, a.tape, (a,), backward)
+    return _record(a.data.T.copy(), (a,), lambda g: g.T)
 
 
 def gather_rows(a: Node, index) -> Node:
     index = np.asarray(index, dtype=np.intp)
 
-    def backward(g):
+    def rule(g):
         # one scalar scatter on the flat buffer adds to each entry in the
         # same order as a row scatter, and runs several times faster
         d = g.shape[1]
         flat = (index[:, None] * d + np.arange(d)).reshape(-1)
         np.add.at(_buffer(a).reshape(-1), flat, g.reshape(-1))
 
-    return _make(a.data[index], a.mode, a.tape, (a,), backward)
+    return _record(a.data[index], (a,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -393,28 +372,18 @@ def gather_rows(a: Node, index) -> Node:
 
 
 def sum_all(a: Node) -> Node:
-    def backward(g):
-        _accumulate(a, g, fresh=False)
-
-    return _make(np.array([[a.data.sum()]]), a.mode, a.tape, (a,), backward)
+    return _record(np.array([[a.data.sum()]]), (a,), lambda g: g)
 
 
 def mean_all(a: Node) -> Node:
     size = a.data.size
-
-    def backward(g):
-        _accumulate(a, g / size, fresh=False)
-
-    return _make(np.array([[a.data.mean()]]), a.mode, a.tape, (a,), backward)
+    return _record(np.array([[a.data.mean()]]), (a,), lambda g: g / size)
 
 
 def row_sum(a: Node) -> Node:
     """Sum along each row -> (n, 1)."""
-
-    def backward(g):
-        _accumulate(a, g, fresh=False)  # broadcasts (n,1) over (n,d)
-
-    return _make(a.data.sum(axis=1, keepdims=True), a.mode, a.tape, (a,), backward)
+    # the (n, 1) gradient broadcasts over (n, d)
+    return _record(a.data.sum(axis=1, keepdims=True), (a,), lambda g: g)
 
 
 def row_norm(a: Node) -> Node:
@@ -422,15 +391,15 @@ def row_norm(a: Node) -> Node:
     rows send no gradient."""
     raw = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))  # == np.linalg.norm
 
-    def backward(g):
+    def rule(g):
         if (raw > 0).all():
             direction = a.data / raw
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 direction = np.where(raw > 0, a.data / np.where(raw > 0, raw, 1.0), 0.0)
-        _accumulate(a, g * direction, fresh=True)
+        return g * direction
 
-    return _make(raw, a.mode, a.tape, (a,), backward)
+    return _record(raw, (a,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +409,7 @@ def row_norm(a: Node) -> Node:
 
 def _elementwise(a: Node, fn, dfn) -> Node:
     raw = fn(a.data)
-
-    def backward(g):
-        _accumulate(a, g * dfn(a.data, raw), fresh=True)
-
-    return _make(raw, a.mode, a.tape, (a,), backward)
+    return _record(raw, (a,), lambda g: g * dfn(a.data, raw))
 
 
 def tanh(a: Node) -> Node:
@@ -473,20 +438,12 @@ def softplus(a: Node) -> Node:
 
 def sigmoid(a: Node) -> Node:
     raw = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        _accumulate(a, g * raw * (1.0 - raw), fresh=True)
-
-    return _make(raw, a.mode, a.tape, (a,), backward)
+    return _record(raw, (a,), lambda g: g * raw * (1.0 - raw))
 
 
 def exp(a: Node) -> Node:
     raw = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * raw, fresh=True)
-
-    return _make(raw, a.mode, a.tape, (a,), backward)
+    return _record(raw, (a,), lambda g: g * raw)
 
 
 def log(a: Node) -> Node:
@@ -495,11 +452,7 @@ def log(a: Node) -> Node:
 
 def sqrt(a: Node) -> Node:
     raw = np.sqrt(a.data)
-
-    def backward(g):
-        _accumulate(a, g * 0.5 / raw, fresh=True)
-
-    return _make(raw, a.mode, a.tape, (a,), backward)
+    return _record(raw, (a,), lambda g: g * 0.5 / raw)
 
 
 def _tanhc_raw(x):
@@ -544,27 +497,18 @@ def artanhc(a: Node) -> Node:
 
 
 def clamp(a: Node, lo: float, hi: float) -> Node:
-    raw = np.clip(a.data, lo, hi)
-
-    def backward(g):
-        _accumulate(a, g * ((a.data > lo) & (a.data < hi)), fresh=True)
-
-    return _make(raw, a.mode, a.tape, (a,), backward)
+    return _record(np.clip(a.data, lo, hi), (a,), lambda g: g * ((a.data > lo) & (a.data < hi)))
 
 
 def minimum(a: Node, b: Node) -> Node:
     """Elementwise minimum; ties route the gradient to the first operand.
     An operand that no entry routes to gets no contribution."""
-    mode = _same_mode(a, b)
     take_a = a.data <= b.data
-
-    def backward(g):
-        if a.requires_grad and take_a.any():
-            _accumulate(a, _unbroadcast(np.where(take_a, g, 0.0), a.shape), fresh=True)
-        if b.requires_grad and not take_a.all():
-            _accumulate(b, _unbroadcast(np.where(take_a, 0.0, g), b.shape), fresh=True)
-
-    return _make(np.minimum(a.data, b.data), mode, a.tape, (a, b), backward)
+    return _record(
+        np.minimum(a.data, b.data), (a, b),
+        lambda g: np.where(take_a, g, 0.0) if take_a.any() else None,
+        lambda g: None if take_a.all() else np.where(take_a, 0.0, g),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +530,12 @@ def cross_entropy(logits: Node, labels) -> Node:
     ce = float(np.mean(logsum[:, 0] - z[np.arange(n), labels]))
     softmax = np.exp(z - logsum)
 
-    def backward(g):
+    def rule(g):
         local = softmax.copy()
         local[np.arange(n), labels] -= 1.0
-        _accumulate(logits, g[0, 0] * local / n, fresh=True)
+        return g[0, 0] * local / n
 
-    return _make(np.array([[ce]]), logits.mode, logits.tape, (logits,), backward)
+    return _record(np.array([[ce]]), (logits,), rule)
 
 
 def median_pool(a: Node, groups) -> Node:
@@ -619,12 +563,12 @@ def median_pool(a: Node, groups) -> Node:
             routes.append((gi, rows[order[m // 2]], 0.5))
     cols = np.arange(d)
 
-    def backward(g):
+    def rule(g):
         grad = _buffer(a)
         for gi, src, w in routes:
             grad[src, cols] += w * g[gi]
 
-    return _make(out, a.mode, a.tape, (a,), backward)
+    return _record(out, (a,), rule)
 
 
 def dropout(a: Node, p: float, rng: np.random.Generator) -> Node:
@@ -634,11 +578,7 @@ def dropout(a: Node, p: float, rng: np.random.Generator) -> Node:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} outside [0, 1)")
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
-
-    def backward(g):
-        _accumulate(a, g * mask, fresh=True)
-
-    return _make(a.data * mask, a.mode, a.tape, (a,), backward)
+    return _record(a.data * mask, (a,), lambda g: g * mask)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .graphs import (
     Graph,
+    check_ratios,
     delta_hyperbolicity,
     erdos_graph,
     load_graph,
@@ -130,13 +131,10 @@ def _parse_seeds(raw) -> list[int]:
 
 
 def _parse_ratios(raw) -> tuple[float, float, float]:
-    if isinstance(raw, (list, tuple)):
-        parts = [float(x) for x in raw]
-    else:
-        parts = [float(x) for x in str(raw).split(",")]
-    if len(parts) != 3 or any(p < 0 for p in parts) or abs(sum(parts) - 1.0) > 1e-9:
-        raise CliError(f"ratios must be three nonnegatives summing to 1, got {raw}")
-    return tuple(parts)
+    try:
+        return check_ratios(raw if isinstance(raw, (list, tuple)) else str(raw).split(","))
+    except (TypeError, ValueError):  # TypeError: a JSON null among the ratios
+        raise CliError(f"ratios must be three nonnegatives summing to 1, got {raw}") from None
 
 
 def _load_dataset(args) -> Graph:

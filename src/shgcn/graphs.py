@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, shortest_path
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree, shortest_path
 
 DELTA_NODE_CAP = 600
 DELTA_J_CHUNK = 32  # js per chunk of the delta search
@@ -63,9 +63,6 @@ class Graph:
             shape=(self.n, self.n),
         )
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(a), int(b)) for a, b in self.edges}
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
@@ -73,25 +70,12 @@ class Graph:
         return len(order) == self.n
 
 
-@dataclasses.dataclass(frozen=True)
-class NormalizedAdjacency:
+def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     """Row-stochastic D^-1 (A + I) as a sparse CSR operator."""
-
-    matrix: sp.csr_matrix
-
-    def __matmul__(self, other):
-        return self.matrix @ other
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
-def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     a_hat = (g.adjacency() + sp.identity(g.n, format="csr")).tocsr()
     degrees = np.asarray(a_hat.sum(axis=1)).reshape(-1)
     inv = sp.diags(1.0 / degrees)
-    return NormalizedAdjacency((inv @ a_hat).tocsr())
+    return (inv @ a_hat).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -142,23 +126,35 @@ def sample_negative_edges(g: Graph, count: int, rng: np.random.Generator) -> np.
 
 
 def _spanning_tree_mask(n: int, edges: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Union-find pass marking the edges (in the given visit order) that
-    first connect two components."""
-    parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    """Mark the edges that, visited in `order`, first connect two
+    components.  That is Kruskal's forest with each edge weighted by its
+    1-based position in `order`; distinct weights make the forest unique."""
+    weight = np.empty(len(edges))
+    weight[order] = np.arange(1, len(order) + 1)
+    graph = sp.csr_matrix((weight, (edges[:, 0], edges[:, 1])), shape=(n, n))
+    forest = minimum_spanning_tree(graph)
     keep = np.zeros(len(edges), dtype=bool)
-    for idx in order:
-        ra, rb = find(edges[idx, 0]), find(edges[idx, 1])
-        if ra != rb:
-            parent[ra] = rb
-            keep[idx] = True
+    keep[order[forest.data.astype(np.int64) - 1]] = True
     return keep
+
+
+def check_ratios(ratios) -> tuple[float, float, float]:
+    """The (train, val, test) fractions as floats.  Raises ValueError
+    unless they are three nonnegatives summing to 1."""
+    parts = tuple(float(x) for x in ratios)
+    if len(parts) != 3 or not all(x >= 0 for x in parts) or abs(sum(parts) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must be three nonnegatives summing to 1, got {parts}")
+    return parts
+
+
+def _split_sizes(count: int, ratios) -> tuple[int, int, int]:
+    """Train, val and test sizes of `count` items.  Rounding can push val
+    plus test past `count` (half and half of 3 items round to 2 and 2); the
+    test size then gives way, so the three parts never overlap."""
+    _, val, test = check_ratios(ratios)
+    n_val = int(round(val * count))
+    n_test = min(int(round(test * count)), count - n_val)
+    return count - n_val - n_test, n_val, n_test
 
 
 def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit:
@@ -172,21 +168,15 @@ def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit
     """
     if g.num_edges == 0:
         raise ValueError("cannot split a graph with no edges")
-    ratios = tuple(float(x) for x in ratios)
-    if len(ratios) != 3 or any(x < 0 for x in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be three nonnegatives summing to 1, got {ratios}")
-    rng = np.random.default_rng(seed)
     m = g.num_edges
-    order = rng.permutation(m)
-    n_val = int(round(ratios[1] * m))
-    n_test = int(round(ratios[2] * m))
-    n_train = m - n_val - n_test
+    n_train, n_val, _ = _split_sizes(m, ratios)
+    order = np.random.default_rng(seed).permutation(m)
 
     tree_mask = _spanning_tree_mask(g.n, g.edges, order)
     n_tree = int(tree_mask.sum())
     if n_tree <= n_train:
         tree_idx = np.flatnonzero(tree_mask)
-        rest = np.array([i for i in order if not tree_mask[i]], dtype=np.int64)
+        rest = order[~tree_mask[order]]
         extra = n_train - n_tree
         train_idx = np.concatenate([tree_idx, rest[:extra]])
         val_idx = rest[extra : extra + n_val]
@@ -220,11 +210,8 @@ def graph_from_train_edges(g: Graph, split: EdgeSplit) -> Graph:
 
 def split_nodes(n: int, ratios=(0.85, 0.05, 0.10), seed: int = 0):
     """Node-level split for classification tasks."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_val = int(round(ratios[1] * n))
-    n_test = int(round(ratios[2] * n))
-    n_train = n - n_val - n_test
+    n_train, n_val, _ = _split_sizes(n, ratios)
+    order = np.random.default_rng(seed).permutation(n)
     return (
         np.sort(order[:n_train]),
         np.sort(order[n_train : n_train + n_val]),

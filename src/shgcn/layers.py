@@ -159,7 +159,7 @@ def shgcn_layer_forward(h: Node, adj, w: Node, b: Node, theta_c: Node,
     c = ad.softplus(theta_c)
     m = _hyperbolic_transform(h, w, b, c, eps)
     t = log0_rows(m, c)
-    s = ad.sparse_matmul(_csr(adj), t)
+    s = ad.sparse_matmul(adj, t)
     return _activate(s, activation)
 
 
@@ -177,7 +177,7 @@ def hgcn_agg0_layer_forward(h_ball: Node, adj, w: Node, b: Node, theta_c: Node,
     t0 = log0_rows(h_ball, c_in)
     m = _hyperbolic_transform(t0, w, b, c_in, eps)
     t_agg = log0_rows(m, c_in)
-    s = ad.sparse_matmul(_csr(adj), t_agg)
+    s = ad.sparse_matmul(adj, t_agg)
     y = project_rows(exp0_rows(s, c_in), c_in, eps)
     z = log0_rows(y, c_in)
     a = _activate(z, activation)
@@ -187,7 +187,7 @@ def hgcn_agg0_layer_forward(h_ball: Node, adj, w: Node, b: Node, theta_c: Node,
 def gcn_layer_forward(h: Node, adj, w: Node, b: Node,
                       activation: str = "relu") -> Node:
     """sigma( A_tilde (H W^T + 1 b^T) )."""
-    s = ad.sparse_matmul(_csr(adj), h @ w.T + b)
+    s = ad.sparse_matmul(adj, h @ w.T + b)
     return _activate(s, activation)
 
 
@@ -198,10 +198,6 @@ def ballify_rows(x: Node, theta_c: Node, eps: float | None = None) -> Node:
         eps = default_projection_eps(x.mode)
     c = ad.softplus(theta_c)
     return project_rows(exp0_rows(x, c), c, eps)
-
-
-def _csr(adj):
-    return adj.matrix if hasattr(adj, "matrix") else adj
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,11 @@ def test_mixed_modes_rejected():
     b = tape.variable(Matrix([[1.0]], Precision.DOUBLE))
     with pytest.raises(ShapeError):
         a + b
+    k = tape.constant(Matrix([[1.0]], Precision.SINGLE))  # no gradient needed
+    for op in (ad.add, ad.sub, ad.mul, ad.div, ad.matmul, ad.minimum):
+        for x, y in ((a, b), (b, a), (a, k), (k, b)):
+            with pytest.raises(ShapeError, match="mixed precision modes"):
+                op(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +394,35 @@ def test_same_operand_twice_gets_its_own_buffer(op, expected, shape):
         assert a.grad.flags.c_contiguous and a.grad.flags.writeable
         for b in nodes[i + 1:]:
             assert not np.shares_memory(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("build,x_grad,r_grad", [
+    (lambda x, r: ad.sum_all(ad.transpose(x)), 1.0, 0.0),
+    (lambda x, r: ad.sum_all(ad.transpose(r)), 0.0, 1.0),  # a C-contiguous view
+    (lambda x, r: ad.sum_all(x), 1.0, 0.0),
+    (lambda x, r: ad.sum_all(ad.row_sum(x)), 1.0, 0.0),
+    (lambda x, r: ad.mean_all(x), 1.0 / 6.0, 0.0),
+    (lambda x, r: ad.sum_all(ad.add(x, r)), 1.0, 2.0),
+    (lambda x, r: ad.sum_all(ad.add(r, x)), 1.0, 2.0),
+    (lambda x, r: ad.sum_all(ad.sub(x, r)), 1.0, -2.0),
+    (lambda x, r: ad.sum_all(ad.sub(r, x)), -1.0, 2.0),
+], ids=["transpose", "transpose-row", "sum_all", "row_sum", "mean_all", "add-row", "row-add", "sub-row", "row-sub"])
+def test_pass_through_rules_give_each_node_its_own_buffer(build, x_grad, r_grad):
+    # these rules send the incoming gradient itself, a view of it or a
+    # broadcast sum of it; x is (2, 3) and the row r is (1, 3)
+    tape = Tape()
+    x = tape.variable(np.arange(6.0).reshape(2, 3) / 7.0)
+    r = tape.variable([[0.5, -1.0, 2.0]])
+    root = build(x, r)
+    tape.backward(root)
+    assert np.array_equal(x.grad, np.full((2, 3), x_grad))
+    assert np.array_equal(r.grad, np.full((1, 3), r_grad))
+    assert np.array_equal(root.grad, [[1.0]])  # the incoming gradient is left alone
+    nodes = _live_nodes(root) + [r]
+    for i, a in enumerate(nodes):
+        assert a.grad.flags.c_contiguous and a.grad.flags.writeable
+        for b in nodes[i + 1:]:
+            assert a is b or not np.shares_memory(a.grad, b.grad)
 
 
 def test_flat_gather_scatter_matches_row_scatter_bit_for_bit():

@@ -117,6 +117,30 @@ def test_run_rejects_half_precision(tmp_path, monkeypatch, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("ratios", ["0.1,0.7,0.7", "0.5,0.5", "0.5,x,0.5"])
+def test_run_bad_ratios_exits_2(tmp_path, monkeypatch, capsys, ratios):
+    code, out, err = run_cli(
+        ["run", "--task", "nc", "--synthetic", "tree:2,3", "--ratios", ratios,
+         "--out", str(tmp_path / "r")],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 2
+    assert f"ratios must be three nonnegatives summing to 1, got {ratios}" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_file_null_ratio_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"ratios": [None, 0.5, 0.5]}))
+    code, out, err = run_cli(
+        ["run", "--task", "nc", "--synthetic", "tree:2,3", "--config", str(cfg),
+         "--out", str(tmp_path / "r")],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 2
+    assert "ratios must be three nonnegatives summing to 1, got [None, 0.5, 0.5]" in err
+
+
 def test_run_no_dataset_exits_2(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(["run", "--task", "lp"], tmp_path, monkeypatch, capsys)
     assert code == 2

@@ -9,6 +9,7 @@ from shgcn.graphs import (
     FEATURE_TEMPERATURE,
     Graph,
     _landmark_features,
+    _spanning_tree_mask,
     _two_core,
     all_pairs_distances,
     cycle_graph,
@@ -20,6 +21,7 @@ from shgcn.graphs import (
     random_tree,
     sample_negative_edges,
     split_edges,
+    split_nodes,
     tree_graph,
 )
 
@@ -48,7 +50,7 @@ def brute_force_delta(g: Graph) -> float:
 def test_graph_dedupes_and_symmetrizes():
     g = Graph(3, [[0, 1], [1, 0], [2, 1], [1, 1]], np.zeros((3, 2)))
     assert g.num_edges == 2
-    assert g.edge_set() == {(0, 1), (1, 2)}
+    assert set(map(tuple, g.edges.tolist())) == {(0, 1), (1, 2)}
 
 
 def test_graph_rejects_out_of_range():
@@ -63,18 +65,18 @@ def test_graph_rejects_out_of_range():
 
 def test_single_edge_two_nodes():
     g = Graph(2, [[0, 1]], np.zeros((2, 1)))
-    a = normalized_adjacency(g).matrix.toarray()
+    a = normalized_adjacency(g).toarray()
     assert np.allclose(a, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_empty_edges_gives_identity():
     g = Graph(3, np.zeros((0, 2), dtype=int), np.zeros((3, 1)))
-    assert np.allclose(normalized_adjacency(g).matrix.toarray(), np.eye(3))
+    assert np.allclose(normalized_adjacency(g).toarray(), np.eye(3))
 
 
 def test_triangle_uniform_third():
     g = Graph(3, [[0, 1], [1, 2], [0, 2]], np.zeros((3, 1)))
-    assert np.allclose(normalized_adjacency(g).matrix.toarray(), np.full((3, 3), 1 / 3))
+    assert np.allclose(normalized_adjacency(g).toarray(), np.full((3, 3), 1 / 3))
 
 
 def test_rows_sum_to_one_random():
@@ -111,7 +113,7 @@ def test_split_path_graph_negatives_verified():
         s = split_edges(g, (0.8, 0.1, 0.1), seed=7)
     assert len(s.val_neg) == len(s.val_pos)
     assert len(s.test_neg) == len(s.test_pos)
-    present = g.edge_set()
+    present = set(map(tuple, g.edges.tolist()))
     for a, b in np.vstack([s.val_neg, s.test_neg]):
         assert (min(a, b), max(a, b)) not in present
 
@@ -125,7 +127,7 @@ def test_split_partition_properties():
             continue
         s = split_edges(g, (0.7, 0.15, 0.15), seed=trial)
         parts = [set(map(tuple, p)) for p in (s.train_pos, s.val_pos, s.test_pos)]
-        assert parts[0] | parts[1] | parts[2] == g.edge_set()
+        assert parts[0] | parts[1] | parts[2] == set(map(tuple, g.edges.tolist()))
         assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
         assert len(s.val_neg) == len(s.val_pos)
         assert len(s.test_neg) == len(s.test_pos)
@@ -137,6 +139,67 @@ def test_split_keeps_training_graph_connected_when_possible():
     s = split_edges(g, (0.7, 0.15, 0.15), seed=4)
     train = Graph(g.n, s.train_pos, g.features)
     assert train.is_connected()
+
+
+BAD_RATIOS = [(0.5, 0.5), (0.5, 0.25, 0.25, 0.0), (1.2, -0.1, -0.1), (0.1, 0.7, 0.7),
+              (0.5, 0.5, float("nan"))]
+
+
+@pytest.mark.parametrize("ratios", BAD_RATIOS,
+                         ids=["two", "four", "negative", "sum-above-1", "nan"])
+def test_splits_reject_bad_ratios(ratios):
+    with pytest.raises(ValueError, match="three nonnegatives summing to 1"):
+        split_nodes(10, ratios, 0)
+    with pytest.raises(ValueError, match="three nonnegatives summing to 1"):
+        split_edges(erdos_graph(20, 0.3, seed=1), ratios, 0)
+
+
+@pytest.mark.parametrize("count", [3, 7])
+def test_splits_never_overlap_when_val_and_test_round_up(count):
+    # half and half of 3 items round to 2 and 2; the test part gives way
+    parts = split_nodes(count, (0.0, 0.5, 0.5), 0)
+    assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(count))
+    edges = np.column_stack([np.arange(count), np.arange(1, count + 1)])
+    with pytest.warns(UserWarning):
+        s = split_edges(Graph(count + 1, edges, np.zeros((count + 1, 1))), (0.0, 0.5, 0.5), 0)
+    used = np.vstack([s.train_pos, s.val_pos, s.test_pos])
+    assert np.array_equal(np.sort(used, axis=0), edges)
+    assert len(s.val_pos) == len(parts[1]) == round(count / 2)
+
+
+def reference_spanning_tree_mask(n: int, edges: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Union-find over the edges in visit order: keep an edge when it
+    joins two components."""
+    parent = np.arange(n)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    keep = np.zeros(len(edges), dtype=bool)
+    for idx in order:
+        ra, rb = find(edges[idx, 0]), find(edges[idx, 1])
+        if ra != rb:
+            parent[ra] = rb
+            keep[idx] = True
+    return keep
+
+
+@pytest.mark.parametrize("g", [
+    *(erdos_graph(n, p, seed=s) for n, p, s in
+      [(12, 0.1, 0), (20, 0.15, 1), (30, 0.3, 2), (40, 0.05, 3), (25, 0.9, 4)]),
+    *(cycle_graph(n) for n in (3, 7, 16)),
+    *(random_tree(n, seed=s) for n, s in [(2, 0), (9, 1), (50, 2)]),
+], ids=lambda g: f"n{g.n}-m{g.num_edges}")
+def test_spanning_forest_equals_union_find(g):
+    rng = np.random.default_rng(g.num_edges)
+    orders = [np.arange(g.num_edges), np.arange(g.num_edges)[::-1].copy()]
+    orders += [rng.permutation(g.num_edges) for _ in range(4)]
+    for order in orders:
+        assert np.array_equal(_spanning_tree_mask(g.n, g.edges, order),
+                              reference_spanning_tree_mask(g.n, g.edges, order))
 
 
 def test_split_zero_edges_contract_error():
@@ -155,7 +218,7 @@ def reference_negative_edges(g: Graph, count: int, rng: np.random.Generator) -> 
     """The sampler as a literal rejection loop over the same draw blocks."""
     if count == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    present = g.edge_set()
+    present = set(map(tuple, g.edges.tolist()))
     chosen: list[tuple[int, int]] = []
     seen = set()
     while len(chosen) < count:

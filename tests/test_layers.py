@@ -137,7 +137,7 @@ def test_gcn_identity_params_is_aggregation():
     tape = Tape()
     w, b, _ = layer_nodes(tape, np.eye(2), np.zeros(2), 0.0)
     out = gcn_layer_forward(tape.variable(H), adj, w, b, activation="identity")
-    assert np.allclose(out.data, adj.matrix @ H, atol=1e-15)
+    assert np.allclose(out.data, adj @ H, atol=1e-15)
 
 
 def test_gcn_single_node():

@@ -237,6 +237,14 @@ def test_graph_regression_runs():
     assert np.isfinite(result.test_metrics["mae"])
 
 
+@pytest.mark.parametrize("ratios", [(0.5, 0.5), (1.2, -0.1, -0.1), (0.1, 0.7, 0.7)],
+                         ids=["two", "negative", "sum-above-1"])
+def test_graph_regression_rejects_bad_ratios(ratios):
+    config = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=6)
+    with pytest.raises(ValueError, match="three nonnegatives summing to 1"):
+        train_graph_regression(config, regression_family(), seed=0, epochs=1, ratios=ratios)
+
+
 def test_graph_regression_draws_dropout_deterministically():
     graphs = regression_family()
     base = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=6)
