@@ -4,7 +4,9 @@ The ball of curvature -c is {x : c * ||x||^2 < 1}.  All operations exist in
 two flavors: array-level functions that take raw vectors plus a curvature
 and a rounding mode (used by the stability prober, which needs to watch the
 arithmetic degrade), and thin typed wrappers over PoincarePoint /
-TangentVector / LorentzPoint for interactive use.
+TangentVector / LorentzPoint for interactive use.  exp0_array and log0_array
+are row-wise over the last axis: a single vector is their one-row case, and
+each row of a block gets that case's arithmetic bit for bit.
 
 Each array-level step -- norm, tanh, scalar product, vector scaling --
 is computed in double and rounded to the active mode before the next step,
@@ -162,8 +164,30 @@ def mobius_add_array(x, y, c: float, mode: Precision = Precision.DOUBLE) -> np.n
     return out
 
 
+def row_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array, bit for bit np.linalg.norm
+    of the row: a stacked dot product over contiguous rows (a row sum of
+    squares, einsum or a strided row each round differently)."""
+    V = np.ascontiguousarray(V)
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
+def _rows(v, c: float, mode: Precision):
+    """The rounded input, its rows, and each row's rounded n = ||row|| and sqrt(c) * n."""
+    v = round_array(np.atleast_1d(np.asarray(v, dtype=np.float64)), mode)
+    V = v.reshape(math.prod(v.shape[:-1]), v.shape[-1])
+    n = round_array(row_norms(V), mode)
+    return v, V, n, round_array(math.sqrt(c) * n, mode)
+
+
+def _by_continuity(out, V, n, arg) -> np.ndarray:
+    """out, but a zero row at the origin and a row with arg == 0 (c == 0) unchanged."""
+    return np.where((n == 0.0)[:, None], 0.0, np.where((arg == 0.0)[:, None], V, out))
+
+
 def exp0_array(v, c: float, mode: Precision = Precision.DOUBLE) -> np.ndarray:
-    """Exponential map at the origin: tanh(sqrt(c)||v||) v / (sqrt(c)||v||).
+    """Exponential map at the origin, row-wise over the last axis:
+    tanh(sqrt(c)||v||) v / (sqrt(c)||v||), a single vector being one row.
 
     v = 0 maps to the origin by continuity; c = 0 degenerates to the
     identity.  No projection is applied here -- in low precision the output
@@ -171,40 +195,34 @@ def exp0_array(v, c: float, mode: Precision = Precision.DOUBLE) -> np.ndarray:
     module measures.
     """
     r = lambda a: round_array(a, mode)
-    v = r(np.asarray(v, dtype=np.float64))
-    n = _norm(v, mode)
-    if n == 0.0:
-        return np.zeros_like(v)
-    arg = float(r(math.sqrt(c) * n))
-    if arg == 0.0:  # c == 0
-        return v
-    t = float(r(math.tanh(arg)))
+    v, V, n, arg = _rows(v, c, mode)
+    t = r(np.array([math.tanh(a) for a in arg]))
     # group as t * (v / arg): the direction factor divides exactly for
     # axis-aligned v, so the boundary is hit exactly when tanh rounds to 1
-    return r(t * r(v / arg))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = r(t[:, None] * r(V / arg[:, None]))
+    return _by_continuity(out, V, n, arg).reshape(v.shape)
 
 
 def log0_array(y, c: float, mode: Precision = Precision.DOUBLE) -> np.ndarray:
-    """Logarithmic map at the origin: arctanh(sqrt(c)||y||) y / (sqrt(c)||y||).
+    """Logarithmic map at the origin, row-wise over the last axis:
+    arctanh(sqrt(c)||y||) y / (sqrt(c)||y||), a single vector being one row.
 
-    Raises BoundaryCollapseError when sqrt(c)||y|| >= 1: the point has been
-    rounded onto (or past) the boundary and the map is undefined there.
+    Raises BoundaryCollapseError when sqrt(c)||y|| >= 1 in any row: the
+    point has been rounded onto (or past) the boundary and the map is
+    undefined there.
     """
     r = lambda a: round_array(a, mode)
-    y = r(np.asarray(y, dtype=np.float64))
-    n = _norm(y, mode)
-    if n == 0.0:
-        return np.zeros_like(y)
-    arg = float(r(math.sqrt(c) * n))
-    if arg == 0.0:
-        return y
-    if arg >= 1.0:
+    y, Y, n, arg = _rows(y, c, mode)
+    collapsed = arg[(n != 0.0) & (arg >= 1.0)]
+    if collapsed.size:
         raise BoundaryCollapseError(
-            f"log0 undefined: sqrt(c)*||y|| = {arg} >= 1 (boundary collapse)"
+            f"log0 undefined: sqrt(c)*||y|| = {collapsed[0]} >= 1 (boundary collapse)"
         )
-    a = float(r(math.atanh(arg)))
-    coef = float(r(a / arg))
-    return r(y * coef)
+    a = r(np.array([math.atanh(x) for x in arg]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = r(a / arg)
+    return _by_continuity(r(Y * coef[:, None]), Y, n, arg).reshape(y.shape)
 
 
 def project_array(x, c: float, eps: float, mode: Precision = Precision.DOUBLE) -> np.ndarray:

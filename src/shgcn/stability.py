@@ -14,9 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import BoundaryCollapseError
-from .geometry import exp0_array, log0_array
-from .precision import Precision, round_to_precision
+from .geometry import exp0_array, log0_array, row_norms
+from .precision import Precision, round_array, round_to_precision
 
 PROBE_CURVATURE = 1.0
 COLLAPSE_RELATIVE_ERROR = 0.5
@@ -63,61 +62,83 @@ def roundtrip_residual(v, mode: Precision, c: float = PROBE_CURVATURE) -> float:
     """||log0(exp0(v)) - v|| / max(1, ||v||), forward ops rounded to mode.
 
     Returns inf when the round trip is undefined (the exponential landed on
-    the boundary), which counts as maximal collapse.
+    the boundary), which counts as maximal collapse.  Raises ValueError for
+    a non-finite v, whose residual would be NaN and read as no collapse.
     """
     v = np.asarray(v, dtype=np.float64).reshape(-1)
-    y = exp0_array(v, c, mode)
-    if math.sqrt(c) * float(np.linalg.norm(y)) >= 1.0:
-        return math.inf
-    try:
-        w = log0_array(y, c, mode)
-    except BoundaryCollapseError:
-        return math.inf
-    return float(np.linalg.norm(w - v) / max(1.0, np.linalg.norm(v)))
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"round trip of a non-finite vector: {v.tolist()}")
+    return float(_residuals(v[None, :], mode, c)[0])
 
 
-def _collapses(norm: float, mode: Precision, direction: np.ndarray) -> bool:
-    return roundtrip_residual(norm * direction, mode) >= COLLAPSE_RELATIVE_ERROR
+def _residuals(V: np.ndarray, mode: Precision, c: float = PROBE_CURVATURE) -> np.ndarray:
+    """roundtrip_residual of each row of the finite 2-D array V."""
+    Y = exp0_array(V, c, mode)
+    ny = row_norms(Y)
+    s = math.sqrt(c)
+    # on or past the boundary, before or after log0 rounds its argument
+    ok = ~((s * ny >= 1.0) | (round_array(s * round_array(ny, mode), mode) >= 1.0))
+    out = np.full(len(V), math.inf)
+    W = log0_array(Y[ok], c, mode)
+    out[ok] = row_norms(W - V[ok]) / np.maximum(1.0, row_norms(V[ok]))
+    return out
 
 
 COARSE_STEP = 0.05
+BLOCK = 256  # coarse grid points scored per batched residual call
+
+
+def _first_collapse(grid: np.ndarray, mode: Precision, d: np.ndarray) -> float | None:
+    """The first grid norm whose round trip along d fails, or None."""
+    for i in range(0, len(grid), BLOCK):
+        block = grid[i:i + BLOCK]
+        failed = np.flatnonzero(_residuals(block[:, None] * d, mode) >= COLLAPSE_RELATIVE_ERROR)
+        if failed.size:
+            return float(block[failed[0]])
+    return None
 
 
 def collapse_threshold(mode: Precision, direction=None) -> float:
     """Empirical search for the smallest ||v|| whose round trip fails:
     exp0(v) rounds onto/over the boundary, or the relative error reaches
     0.5.  Control flow runs in double; only forward geometry is rounded to
-    the mode.
+    the mode.  direction (default: the first axis of R^2) must be a
+    non-empty, finite, nonzero vector, else ValueError.
 
-    Along the canonical axis the failure set is a clean half-line and this
-    reduces to bisection; for rotated directions the component rounding
-    makes failures flicker near the onset, so the search walks a coarse
-    grid to bracket the first failure and then refines at the stated
-    resolution, which keeps the reported value the smallest failing norm
-    either way.
+    Along the canonical axis the failure set is a clean half-line; for
+    rotated directions the component rounding makes failures flicker near
+    the onset, so the search walks a coarse grid to bracket the first
+    failure and then refines at the stated resolution, which keeps the
+    reported value the smallest failing norm either way.  After SEARCH_LO
+    alone, the coarse grid is scored BLOCK points per batched call of
+    exp0_array and log0_array, up to the first block with a failure; the
+    fine grid (at most 51 points) is one call.  Every row gets a one-vector
+    call's arithmetic bit for bit -- libm's tanh and atanh per row (numpy's
+    differ in the last ulp on about one argument in six) and norms as
+    stacked dot products (geometry.row_norms) -- so the result equals a
+    point-by-point scan exactly.
     """
     if direction is None:
         d = np.zeros(2)
         d[0] = 1.0
     else:
         d = np.asarray(direction, dtype=np.float64).reshape(-1)
-        d = d / np.linalg.norm(d)
-    if _collapses(SEARCH_LO, mode, d):
+        norm = np.linalg.norm(d)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(
+                f"direction must be a non-empty, finite, nonzero vector, got {d.tolist()}"
+            )
+        d = d / norm
+    if roundtrip_residual(SEARCH_LO * d, mode) >= COLLAPSE_RELATIVE_ERROR:
         return SEARCH_LO
     coarse = np.arange(SEARCH_LO, SEARCH_HI + COARSE_STEP, COARSE_STEP)
-    hit = None
-    for x in coarse:
-        if _collapses(float(x), mode, d):
-            hit = float(x)
-            break
+    hit = _first_collapse(coarse, mode, d)
     if hit is None:
         return math.inf
     fine = np.arange(max(SEARCH_LO, hit - COARSE_STEP), hit + SEARCH_RESOLUTION,
                      SEARCH_RESOLUTION)
-    for x in fine:
-        if _collapses(float(x), mode, d):
-            return float(x)
-    return hit
+    x = _first_collapse(fine, mode, d)
+    return hit if x is None else x
 
 
 def threshold_report(mode: Precision) -> ThresholdReport:

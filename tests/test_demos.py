@@ -42,3 +42,32 @@ def test_link_prediction_tree_demo():
     assert len(aucs) == 10
     margin = re.search(r"hyperbolic margin over the Euclidean baseline: ([+-]\d\.\d+)", out)
     assert margin is not None and float(margin.group(1)) > 0
+
+
+def test_poincare_geometry_demo():
+    out = run_demo("01_poincare_geometry.py")
+    assert re.search(r"x \(\+\) y\s+: \[0\.8 0\. \]", out)
+    assert re.search(r"log0\(exp0\(v\)\)\s+: \[1\. 0\.\]", out)
+    dists = [float(d) for d in re.findall(r"d\(0, +[\d.]+ e1\) = +([\d.]+)", out)]
+    assert len(dists) == 5 and dists == sorted(dists) and dists[-1] > 9.9
+    pole = re.search(r"distance to pole\s+: ([\d.]+)\s+\(= \|\|w\|\| = ([\d.]+) \)", out)
+    assert pole is not None and abs(float(pole.group(1)) - float(pole.group(2))) < 1e-12
+
+
+def test_precision_cliffs_demo():
+    out = run_demo("02_precision_cliffs.py")
+    modes = ("half", "single", "double")
+    thresholds = {}
+    for line in out.splitlines():
+        parts = line.split()
+        if len(parts) == 5 and parts[0] in modes:
+            thresholds[parts[0]] = parts[4]
+    assert thresholds == {"half": "4.506", "single": "9.011", "double": "19.062"}
+    # residual table: a norm then one cell per mode; each column's first
+    # collapsed cell lies past that mode's threshold
+    rows = [line.split() for line in out.splitlines()
+            if re.match(r"\s*\d+\.\d ", line) and len(line.split()) == 4]
+    assert len(rows) == 15
+    for col, mode in enumerate(modes, start=1):
+        first = next(float(r[0]) for r in rows if r[col] == "collapsed")
+        assert first > float(thresholds[mode])

@@ -23,6 +23,7 @@ from shgcn.geometry import (
     poincare_dist,
     project,
     project_array,
+    row_norms,
 )
 from shgcn.precision import Precision
 
@@ -325,3 +326,11 @@ def test_conformal_factor_at_origin():
 def test_lorentz_needs_positive_first_coordinate():
     with pytest.raises(ValueError):
         LorentzPoint([-1.0, 0.0], 1.0).validate()
+
+
+def test_row_norms_equal_np_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3, 7, 16, 33, 69):
+        X = rng.standard_normal((50, 2 * dim)) * rng.uniform(1e-3, 1e3, (50, 1))
+        for V in (X[:, :dim].copy(), X[:, ::2], np.asfortranarray(X[:, :dim])):
+            assert np.array_equal(row_norms(V), [np.linalg.norm(v) for v in V])

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from shgcn.precision import Precision
+from shgcn.errors import BoundaryCollapseError
+from shgcn.geometry import exp0_array, log0_array
+from shgcn.precision import Precision, round_array
 from shgcn.stability import (
+    COARSE_STEP,
+    COLLAPSE_RELATIVE_ERROR,
+    PROBE_CURVATURE,
+    SEARCH_HI,
+    SEARCH_LO,
+    SEARCH_RESOLUTION,
     all_threshold_reports,
     collapse_threshold,
     max_boundary_k,
@@ -123,3 +131,173 @@ def test_report_and_tables():
     rep = threshold_report(HALF)
     assert rep.max_k == 4
     assert abs(rep.collapse_threshold - 5.0) <= 0.5
+
+
+# ---------------------------------------------------------------------------
+# exact-equality oracle: the per-vector kernels and the point-by-point scan
+# that the row-wise kernels and the block scan replaced, kept verbatim
+# ---------------------------------------------------------------------------
+
+def _norm(v: np.ndarray, mode: Precision) -> float:
+    return float(round_array(np.linalg.norm(v), mode))
+
+
+def ref_exp0_array(v, c: float, mode: Precision = Precision.DOUBLE) -> np.ndarray:
+    r = lambda a: round_array(a, mode)
+    v = r(np.asarray(v, dtype=np.float64))
+    n = _norm(v, mode)
+    if n == 0.0:
+        return np.zeros_like(v)
+    arg = float(r(math.sqrt(c) * n))
+    if arg == 0.0:  # c == 0
+        return v
+    t = float(r(math.tanh(arg)))
+    return r(t * r(v / arg))
+
+
+def ref_log0_array(y, c: float, mode: Precision = Precision.DOUBLE) -> np.ndarray:
+    r = lambda a: round_array(a, mode)
+    y = r(np.asarray(y, dtype=np.float64))
+    n = _norm(y, mode)
+    if n == 0.0:
+        return np.zeros_like(y)
+    arg = float(r(math.sqrt(c) * n))
+    if arg == 0.0:
+        return y
+    if arg >= 1.0:
+        raise BoundaryCollapseError(
+            f"log0 undefined: sqrt(c)*||y|| = {arg} >= 1 (boundary collapse)"
+        )
+    a = float(r(math.atanh(arg)))
+    coef = float(r(a / arg))
+    return r(y * coef)
+
+
+def ref_roundtrip_residual(v, mode: Precision, c: float = PROBE_CURVATURE) -> float:
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    y = ref_exp0_array(v, c, mode)
+    if math.sqrt(c) * float(np.linalg.norm(y)) >= 1.0:
+        return math.inf
+    try:
+        w = ref_log0_array(y, c, mode)
+    except BoundaryCollapseError:
+        return math.inf
+    return float(np.linalg.norm(w - v) / max(1.0, np.linalg.norm(v)))
+
+
+def _ref_collapses(norm: float, mode: Precision, direction: np.ndarray) -> bool:
+    return ref_roundtrip_residual(norm * direction, mode) >= COLLAPSE_RELATIVE_ERROR
+
+
+def ref_collapse_threshold(mode: Precision, direction=None) -> float:
+    if direction is None:
+        d = np.zeros(2)
+        d[0] = 1.0
+    else:
+        d = np.asarray(direction, dtype=np.float64).reshape(-1)
+        d = d / np.linalg.norm(d)
+    if _ref_collapses(SEARCH_LO, mode, d):
+        return SEARCH_LO
+    coarse = np.arange(SEARCH_LO, SEARCH_HI + COARSE_STEP, COARSE_STEP)
+    hit = None
+    for x in coarse:
+        if _ref_collapses(float(x), mode, d):
+            hit = float(x)
+            break
+    if hit is None:
+        return math.inf
+    fine = np.arange(max(SEARCH_LO, hit - COARSE_STEP), hit + SEARCH_RESOLUTION,
+                     SEARCH_RESOLUTION)
+    for x in fine:
+        if _ref_collapses(float(x), mode, d):
+            return float(x)
+    return hit
+
+
+def _oracle_directions(dim: int) -> list:
+    rng = np.random.default_rng(1000 + dim)
+    axis = np.zeros(dim)
+    axis[0] = 1.0
+    return [axis] + [rng.standard_normal(dim) for _ in range(20)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16])
+@pytest.mark.parametrize("mode", list(Precision))
+def test_thresholds_equal_the_point_by_point_scan(mode, dim):
+    for d in _oracle_directions(dim):
+        assert collapse_threshold(mode, d) == ref_collapse_threshold(mode, d)
+    assert collapse_threshold(mode) == ref_collapse_threshold(mode)
+
+
+@pytest.mark.parametrize("mode", list(Precision))
+def test_residuals_equal_the_per_vector_round_trip(mode):
+    # every 7th coarse norm up to 40, past each mode's threshold, so the
+    # collapsed (inf) rows are compared too
+    norms = np.arange(SEARCH_LO, 40.0, COARSE_STEP)[::7]
+    seen_inf = False
+    for dim in (2, 3, 16):
+        for d in _oracle_directions(dim)[:4]:
+            d = d / np.linalg.norm(d)
+            for x in norms:
+                got = roundtrip_residual(float(x) * d, mode)
+                assert got == ref_roundtrip_residual(float(x) * d, mode)
+                seen_inf |= math.isinf(got)
+    assert seen_inf
+
+
+@pytest.mark.parametrize("c", [0.7, 2.3])
+@pytest.mark.parametrize("mode", list(Precision))
+def test_residuals_equal_the_per_vector_round_trip_off_unit_curvature(mode, c):
+    # away from c = 1 the unrounded boundary test and log0's rounded one
+    # disagree on some norms, so both must stay
+    norms = np.arange(0.5, 30.0, COARSE_STEP) / math.sqrt(c)
+    for d in _oracle_directions(3)[:2]:
+        d = d / np.linalg.norm(d)
+        for x in norms:
+            assert roundtrip_residual(x * d, mode, c) == ref_roundtrip_residual(x * d, mode, c)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("mode", list(Precision))
+def test_row_wise_maps_equal_one_row_calls(mode, c):
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((12, 5))
+    # norms up to 2.5, which no mode rounds onto the boundary
+    V *= np.linspace(0.01, 2.5, 12)[:, None] / np.linalg.norm(V, axis=1)[:, None]
+    V[3] = 0.0
+    Y = exp0_array(V, c, mode)
+    assert Y.shape == V.shape
+    for v, y in zip(V, Y):
+        assert np.array_equal(y, ref_exp0_array(v, c, mode))
+        assert np.array_equal(exp0_array(v, c, mode), ref_exp0_array(v, c, mode))
+    W = log0_array(Y, c, mode)
+    for y, w in zip(Y, W):
+        assert np.array_equal(w, ref_log0_array(y, c, mode))
+        assert np.array_equal(log0_array(y, c, mode), ref_log0_array(y, c, mode))
+    # a scalar is a one-component vector
+    assert exp0_array(-0.8, c, mode)[0] == ref_exp0_array(-0.8, c, mode)
+    assert log0_array(0.6, c, mode)[0] == ref_log0_array(0.6, c, mode)
+
+
+@pytest.mark.parametrize("mode", list(Precision))
+def test_log0_raises_when_one_row_has_collapsed(mode):
+    Y = np.array([[0.1, 0.2], [0.0, 0.0], [1.0, 0.0], [0.3, -0.4]])
+    with pytest.raises(BoundaryCollapseError):
+        log0_array(Y, 1.0, mode)
+    assert np.array_equal(log0_array(Y[[0, 1, 3]], 1.0, mode),
+                          np.array([ref_log0_array(y, 1.0, mode) for y in Y[[0, 1, 3]]]))
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], []],
+                         ids=["zero", "nan", "inf", "empty"])
+@pytest.mark.filterwarnings("error")
+def test_bad_direction_raises(direction):
+    with pytest.raises(ValueError, match="direction"):
+        collapse_threshold(HALF, direction)
+
+
+@pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 2.0]],
+                         ids=["nan", "inf", "-inf"])
+def test_residual_of_non_finite_vector_raises(v):
+    with pytest.raises(ValueError, match="non-finite"):
+        roundtrip_residual(v, HALF)
