@@ -31,12 +31,14 @@ from .graphs import (
     parse_synthetic,
     split_edges,
     split_nodes,
+    split_sizes,
 )
 from .layers import DecoderConfig, ModelConfig
 from .precision import Precision
 from .stability import all_threshold_reports, reports_to_csv, reports_to_text
 from .training import (
     benchmark_models,
+    check_bench_size,
     speedup_with_ci,
     train_graph_regression,
     train_model,
@@ -63,6 +65,9 @@ RUN_DEFAULTS = {
     "precision": "double",
     "count": 24,
 }
+BENCH_DEFAULTS = {k: RUN_DEFAULTS[k] for k in (
+    "layers", "dim", "activation", "lr", "ratios", "curvature", "decoder_r", "decoder_t",
+)} | {"epochs": 50}
 
 
 class CliError(Exception):
@@ -76,9 +81,11 @@ def _out_dir(args) -> str:
 
 
 def _write_report(out_dir: str, payload: dict, text: str) -> None:
+    # a non-finite value raises here instead of reaching the file as NaN
+    blob = json.dumps(payload, indent=2, default=_jsonable, allow_nan=False)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, default=_jsonable)
+        fh.write(blob)
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(text)
 
@@ -93,7 +100,7 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, keys) -> dict:
     if path is None:
         return {}
     if not os.path.exists(path):
@@ -103,17 +110,18 @@ def _load_config_file(path: str | None) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CliError(f"config file is not valid JSON: {exc}") from None
-    unknown = set(data) - set(RUN_DEFAULTS) - {"synthetic", "edges", "features", "labels"}
+    unknown = set(data) - set(keys)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
-def _resolve(args, keys) -> dict:
-    """Precedence: built-in defaults < config file < explicit flags."""
-    resolved = {k: RUN_DEFAULTS[k] for k in keys if k in RUN_DEFAULTS}
-    resolved.update({k: v for k, v in _load_config_file(args.config).items() if k in keys})
-    for key in keys:
+def _resolve(args, defaults: dict) -> dict:
+    """Precedence: built-in defaults < config file < explicit flags.  A
+    config key outside `defaults` is a usage error."""
+    resolved = dict(defaults)
+    resolved.update(_load_config_file(args.config, defaults))
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
@@ -121,10 +129,13 @@ def _resolve(args, keys) -> dict:
 
 
 def _parse_seeds(raw) -> list[int]:
-    if isinstance(raw, (list, tuple)):
-        seeds = [int(s) for s in raw]
-    else:
-        seeds = [int(s) for s in str(raw).split(",") if s != ""]
+    try:
+        if isinstance(raw, (list, tuple)):
+            seeds = [int(s) for s in raw]
+        else:
+            seeds = [int(s) for s in str(raw).split(",") if s != ""]
+    except (TypeError, ValueError):
+        raise CliError(f"seeds must be integers, got {raw!r}") from None
     if not seeds:
         raise CliError("need at least one seed")
     return seeds
@@ -135,6 +146,28 @@ def _parse_ratios(raw) -> tuple[float, float, float]:
         return check_ratios(raw if isinstance(raw, (list, tuple)) else str(raw).split(","))
     except (TypeError, ValueError):  # TypeError: a JSON null among the ratios
         raise CliError(f"ratios must be three nonnegatives summing to 1, got {raw}") from None
+
+
+def _configs(cfg: dict, layer_kind: str = "shgcn") -> tuple[ModelConfig, DecoderConfig]:
+    """The model and decoder of a resolved config; a value out of range is
+    a usage error."""
+    try:
+        model = ModelConfig(layer_kind=layer_kind, num_layers=int(cfg["layers"]),
+                            hidden_dim=int(cfg["dim"]), activation=cfg["activation"],
+                            init_curvature=float(cfg["curvature"]),
+                            dropout=float(cfg.get("dropout", 0.0)))
+        return model, DecoderConfig(r=float(cfg["decoder_r"]), t=float(cfg["decoder_t"]))
+    except (TypeError, ValueError) as exc:
+        raise CliError(str(exc)) from None
+
+
+def _check_split(count: int, ratios, items: str, need_test: bool = True) -> None:
+    """Refuse ratios that leave no training items, or no test items when
+    the report reads a test metric."""
+    n_train, _, n_test = split_sizes(count, ratios)
+    if n_train < 1 or (need_test and n_test < 1):
+        raise CliError(f"ratios {list(ratios)} split {count} {items} into {n_train} "
+                       f"for training and {n_test} for testing; each needs at least one")
 
 
 def _load_dataset(args) -> Graph:
@@ -183,12 +216,7 @@ def _regression_family(spec: str, count: int, seed: int) -> list[Graph]:
 
 
 def cmd_run(args) -> int:
-    keys = [
-        "task", "model", "layers", "dim", "activation", "lr", "epochs",
-        "patience", "seeds", "ratios", "decoder_r", "decoder_t", "dropout",
-        "curvature", "precision", "count",
-    ]
-    cfg = _resolve(args, keys)
+    cfg = _resolve(args, RUN_DEFAULTS)
     if cfg["task"] not in ("lp", "nc", "gr"):
         raise CliError(f"unknown task {cfg['task']!r} (use lp, nc or gr)")
     if getattr(args, "seed", None) is not None:
@@ -197,22 +225,22 @@ def cmd_run(args) -> int:
         cfg["seeds"] = str(args.seed)
     seeds = _parse_seeds(cfg["seeds"])
     ratios = _parse_ratios(cfg["ratios"])
-    mode = Precision.parse(cfg["precision"])
+    try:
+        mode = Precision.parse(cfg["precision"])
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if mode is Precision.HALF:
         raise CliError("training runs support single/double only; half is a forward probe mode")
-    model_config = ModelConfig(
-        layer_kind=cfg["model"],
-        num_layers=int(cfg["layers"]),
-        hidden_dim=int(cfg["dim"]),
-        activation=cfg["activation"],
-        init_curvature=float(cfg["curvature"]),
-        dropout=float(cfg["dropout"]),
-    )
-    decoder = DecoderConfig(r=float(cfg["decoder_r"]), t=float(cfg["decoder_t"]))
+    model_config, decoder = _configs(cfg, cfg["model"])
+    if int(cfg["epochs"]) < 1:
+        raise CliError(f"epochs must be at least 1, got {cfg['epochs']}")
     resolved = {**cfg, "seeds": seeds, "ratios": list(ratios),
                 "dataset": args.synthetic or args.edges, "version": __version__}
 
     graph = None if cfg["task"] == "gr" else _load_dataset(args)
+    count, items = ((int(cfg["count"]), "graphs") if cfg["task"] == "gr" else
+                    (graph.num_edges, "edges") if cfg["task"] == "lp" else (graph.n, "nodes"))
+    _check_split(count, ratios, items)
     per_seed = []
     for seed in seeds:
         if cfg["task"] == "gr":
@@ -265,23 +293,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    keys = ["layers", "dim", "activation", "lr", "ratios", "curvature",
-            "decoder_r", "decoder_t"]
-    cfg = _resolve(args, keys)
+    cfg = _resolve(args, BENCH_DEFAULTS)
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
     if len(kinds) < 2:
         raise CliError("bench needs at least two model kinds (--models a,b)")
-    graph = _load_dataset(args)
+    epochs = int(cfg["epochs"])
+    try:
+        check_bench_size(epochs, args.runs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    base, decoder = _configs(cfg)
     ratios = _parse_ratios(cfg["ratios"])
+    graph = _load_dataset(args)
+    _check_split(graph.num_edges, ratios, "edges", need_test=False)
     seed = args.seed if args.seed is not None else 0
     split = split_edges(graph, ratios, seed)
-    base = ModelConfig(
-        layer_kind="shgcn", num_layers=int(cfg["layers"]), hidden_dim=int(cfg["dim"]),
-        activation=cfg["activation"], init_curvature=float(cfg["curvature"]),
-    )
-    decoder = DecoderConfig(r=float(cfg["decoder_r"]), t=float(cfg["decoder_t"]))
     results = benchmark_models(
-        kinds, graph, split, seed=seed, epochs=args.epochs, runs=args.runs,
+        kinds, graph, split, seed=seed, epochs=epochs, runs=args.runs,
         config_base=base, decoder=decoder, lr=float(cfg["lr"]),
     )
     by_kind = {r.kind: r for r in results}
@@ -294,7 +322,7 @@ def cmd_bench(args) -> int:
             "speedup": ratio, "ci95_low": lo, "ci95_high": hi,
         }
     payload = {
-        "config": {**cfg, "models": kinds, "epochs": args.epochs, "runs": args.runs,
+        "config": {**cfg, "models": kinds, "epochs": epochs, "runs": args.runs,
                    "seed": seed, "dataset": args.synthetic or args.edges,
                    "version": __version__},
         "per_seed": [
@@ -397,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="compare per-epoch training time across models")
     _add_dataset_flags(bench)
     bench.add_argument("--models", required=True, help="comma-separated kinds")
-    bench.add_argument("--epochs", type=int, default=50)
+    bench.add_argument("--epochs", type=int, help="default 50")
     bench.add_argument("--runs", type=int, default=3)
     bench.add_argument("--seed", type=int)
     bench.add_argument("--layers", type=int)

@@ -147,7 +147,7 @@ def check_ratios(ratios) -> tuple[float, float, float]:
     return parts
 
 
-def _split_sizes(count: int, ratios) -> tuple[int, int, int]:
+def split_sizes(count: int, ratios) -> tuple[int, int, int]:
     """Train, val and test sizes of `count` items.  Rounding can push val
     plus test past `count` (half and half of 3 items round to 2 and 2); the
     test size then gives way, so the three parts never overlap."""
@@ -169,7 +169,7 @@ def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit
     if g.num_edges == 0:
         raise ValueError("cannot split a graph with no edges")
     m = g.num_edges
-    n_train, n_val, _ = _split_sizes(m, ratios)
+    n_train, n_val, _ = split_sizes(m, ratios)
     order = np.random.default_rng(seed).permutation(m)
 
     tree_mask = _spanning_tree_mask(g.n, g.edges, order)
@@ -210,7 +210,7 @@ def graph_from_train_edges(g: Graph, split: EdgeSplit) -> Graph:
 
 def split_nodes(n: int, ratios=(0.85, 0.05, 0.10), seed: int = 0):
     """Node-level split for classification tasks."""
-    n_train, n_val, _ = _split_sizes(n, ratios)
+    n_train, n_val, _ = split_sizes(n, ratios)
     order = np.random.default_rng(seed).permutation(n)
     return (
         np.sort(order[:n_train]),
@@ -336,22 +336,12 @@ def tree_graph(branching: int, depth: int) -> Graph:
     node depths."""
     if branching < 1 or depth < 0:
         raise ValueError("branching must be >= 1 and depth >= 0")
-    edges = []
-    labels = [0]
-    frontier = [0]
-    next_id = 1
-    for level in range(1, depth + 1):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(branching):
-                edges.append((parent, next_id))
-                labels.append(level)
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-    n = next_id
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return Graph(n, edges, _landmark_features(n, edges), np.asarray(labels))
+    level_sizes = branching ** np.arange(depth + 1, dtype=np.int64)
+    n = int(level_sizes.sum())
+    child = np.arange(1, n, dtype=np.int64)
+    edges = np.column_stack([(child - 1) // branching, child])
+    labels = np.repeat(np.arange(depth + 1), level_sizes)
+    return Graph(n, edges, _landmark_features(n, edges), labels)
 
 
 def cycle_graph(n: int) -> Graph:

@@ -43,21 +43,19 @@ def softplus_float(x: float) -> float:
 def inverse_softplus(c: float) -> float:
     if c <= 0:
         raise ValueError("curvature must be positive")
-    return math.log(math.expm1(c))
+    # log(expm1(c)) has rounded to c long before expm1 overflows near c = 709.8
+    return math.log(math.expm1(c)) if c < 700.0 else float(c)
 
 
 @dataclasses.dataclass
 class LayerParams:
-    """One layer's trainables: weight (d_out, d_in), Euclidean bias (d_out,),
-    and a raw curvature parameter with c = softplus(theta_c) > 0."""
+    """One layer's weight (d_out, d_in), Euclidean bias (d_out,) and raw
+    curvature with c = softplus(theta_c) > 0: the argument of
+    `feature_transform`."""
 
     weight: np.ndarray
     bias: np.ndarray
     theta_c: float
-
-    @property
-    def curvature(self) -> float:
-        return softplus_float(self.theta_c)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,6 +76,8 @@ class ModelConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if not 0.0 < self.init_curvature < math.inf:
+            raise ValueError("init_curvature must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,8 +86,10 @@ class DecoderConfig:
     t: float = 1.0
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("Fermi-Dirac temperature t must be positive")
+        if not 0.0 < self.t < math.inf:
+            raise ValueError("Fermi-Dirac temperature t must be positive and finite")
+        if not math.isfinite(self.r):
+            raise ValueError("Fermi-Dirac radius r must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +153,23 @@ def _hyperbolic_transform(h: Node, w: Node, b: Node, c: Node, eps: float) -> Nod
 
 
 def shgcn_layer_forward(h: Node, adj, w: Node, b: Node, theta_c: Node,
-                        activation: str = "relu", eps: float | None = None) -> Node:
+                        activation: str = "relu") -> Node:
     """Simplified hyperbolic layer: Euclidean rows in, Euclidean rows out,
     one hyperbolic transform sandwiched between them."""
-    if eps is None:
-        eps = default_projection_eps(h.mode)
     c = ad.softplus(theta_c)
-    m = _hyperbolic_transform(h, w, b, c, eps)
+    m = _hyperbolic_transform(h, w, b, c, default_projection_eps(h.mode))
     t = log0_rows(m, c)
     s = ad.sparse_matmul(adj, t)
     return _activate(s, activation)
 
 
 def hgcn_agg0_layer_forward(h_ball: Node, adj, w: Node, b: Node, theta_c: Node,
-                            theta_c_out: Node, activation: str = "relu",
-                            eps: float | None = None) -> Node:
+                            theta_c_out: Node, activation: str = "relu") -> Node:
     """Baseline hyperbolic layer, evaluated literally: ball rows in, ball
     rows out, with the redundant exp/log pairs and projections retained.
     In exact arithmetic those pairs are identities; in low precision they
     are where the collapse happens."""
-    if eps is None:
-        eps = default_projection_eps(h_ball.mode)
+    eps = default_projection_eps(h_ball.mode)
     c_in = ad.softplus(theta_c)
     c_out = ad.softplus(theta_c_out)
     t0 = log0_rows(h_ball, c_in)
@@ -191,13 +189,11 @@ def gcn_layer_forward(h: Node, adj, w: Node, b: Node,
     return _activate(s, activation)
 
 
-def ballify_rows(x: Node, theta_c: Node, eps: float | None = None) -> Node:
+def ballify_rows(x: Node, theta_c: Node) -> Node:
     """Map Euclidean feature rows onto the ball (layer-0 input of the
     baseline model)."""
-    if eps is None:
-        eps = default_projection_eps(x.mode)
     c = ad.softplus(theta_c)
-    return project_rows(exp0_rows(x, c), c, eps)
+    return project_rows(exp0_rows(x, c), c, default_projection_eps(x.mode))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,7 @@ def feature_transform(x, params: LayerParams, mode: Precision = Precision.DOUBLE
         raise ShapeError(
             f"weight expects dimension {params.weight.shape[1]}, got {x.size}"
         )
-    c = params.curvature
+    c = softplus_float(params.theta_c)
     eps = default_projection_eps(mode)
     p = project_array(exp0_array(params.weight @ x, c, mode), c, eps, mode)
     bp = project_array(exp0_array(params.bias, c, mode), c, eps, mode)
@@ -268,72 +264,68 @@ def mlp_readout(pooled: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# parameter containers / full models
+# trainable modules
 # ---------------------------------------------------------------------------
 
 
-def _init_layer(rng, d_in: int, d_out: int, init_curvature: float) -> LayerParams:
+class ParameterStore:
+    """Trainable state as one ordered name -> 2-D float64 array dict, every
+    array already in the shape the tape uses: weights (d_out, d_in), biases
+    (1, d_out) and raw curvatures theta_c (1, 1), with c = softplus(theta_c).
+    Each forward registers every entry on its tape as one variable."""
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        self._params = params
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        return dict(self._params)
+
+    def set_parameters(self, values: dict) -> None:
+        """Take this module's entries from `values`; other names are ignored.
+        A 1-D bias or a 0-D curvature is read as one row."""
+        for name, old in self._params.items():
+            value = np.asarray(values[name], dtype=np.float64)
+            if value.ndim < 2:
+                value = value.reshape(1, -1)
+            if value.shape != old.shape:
+                raise ShapeError(
+                    f"parameter {name!r} has shape {value.shape}, expected {old.shape}")
+            self._params[name] = value
+
+    def register(self, tape: Tape, mode: Precision) -> dict[str, Node]:
+        return {name: tape.variable(Matrix(v, mode)) for name, v in self._params.items()}
+
+
+def _uniform(rng: np.random.Generator, d_out: int, d_in: int) -> np.ndarray:
+    """A (d_out, d_in) weight drawn from U(-1/sqrt(d_in), 1/sqrt(d_in))."""
     bound = 1.0 / math.sqrt(d_in)
-    weight = rng.uniform(-bound, bound, size=(d_out, d_in))
-    return LayerParams(weight, np.zeros(d_out), inverse_softplus(init_curvature))
+    return rng.uniform(-bound, bound, size=(d_out, d_in))
 
 
-class GraphModel:
-    """A stack of layers of one kind plus its trainable state.
-
-    Parameters live as plain float64 arrays; each forward pass re-registers
-    them on a fresh tape, so one training step builds and consumes one tape.
-    """
+class GraphModel(ParameterStore):
+    """A stack of layers of one kind: `w{i}`, `b{i}` and `c{i}` per layer.
+    The baseline also maps the input onto the ball with `c0` and closes
+    its last activation map with its own curvature `c_out`."""
 
     def __init__(self, config: ModelConfig, in_dim: int, seed: int = 0):
         self.config = config
-        self.in_dim = in_dim
         rng = np.random.default_rng(seed)
+        theta_c = inverse_softplus(config.init_curvature)
         dims = [in_dim] + [config.hidden_dim] * config.num_layers
-        self.layers = [
-            _init_layer(rng, dims[i], dims[i + 1], config.init_curvature)
-            for i in range(config.num_layers)
-        ]
-        # the baseline model needs curvatures at both ends of the stack:
-        # one for mapping the input onto the ball (consumed as each layer's
-        # input curvature) and one closing the final activation map.
-        self.theta_c_out = (
-            inverse_softplus(config.init_curvature)
-            if config.layer_kind == "hgcn-agg0"
-            else None
-        )
+        params = {}
+        for i in range(config.num_layers):
+            params[f"w{i}"] = _uniform(rng, dims[i + 1], dims[i])
+            params[f"b{i}"] = np.zeros((1, dims[i + 1]))
+            params[f"c{i}"] = np.full((1, 1), theta_c)
+        if config.layer_kind == "hgcn-agg0":
+            params["c_out"] = np.full((1, 1), theta_c)
+        super().__init__(params)
 
-    # -- parameter plumbing ---------------------------------------------
-    def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out[f"w{i}"] = layer.weight
-            out[f"b{i}"] = layer.bias.reshape(1, -1)
-            out[f"c{i}"] = np.array([[layer.theta_c]])
-        if self.theta_c_out is not None:
-            out["c_out"] = np.array([[self.theta_c_out]])
-        return out
-
-    def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        for i, layer in enumerate(self.layers):
-            layer.weight = np.asarray(params[f"w{i}"], dtype=np.float64)
-            layer.bias = np.asarray(params[f"b{i}"], dtype=np.float64).reshape(-1)
-            layer.theta_c = float(np.asarray(params[f"c{i}"]).reshape(()))
-        if self.theta_c_out is not None:
-            self.theta_c_out = float(np.asarray(params["c_out"]).reshape(()))
-
-    def _register(self, tape: Tape, mode: Precision) -> dict[str, Node]:
-        return {
-            name: tape.variable(Matrix(value, mode))
-            for name, value in self.parameters().items()
-        }
-
-    # -- forward ----------------------------------------------------------
     def forward(self, tape: Tape, adj, features, mode: Precision = Precision.DOUBLE,
                 dropout_rng: np.random.Generator | None = None):
         """Euclidean embeddings (n, hidden_dim) plus the parameter node map
         (for reading gradients after backward)."""
-        nodes = self._register(tape, mode)
+        nodes = self.register(tape, mode)
         h = tape.constant(Matrix(features, mode))  # no gradient flows to the input
         kind = self.config.layer_kind
         n_layers = self.config.num_layers
@@ -367,55 +359,33 @@ class GraphModel:
         return h, nodes
 
 
-class ClassificationHead:
-    """Euclidean multinomial logistic regression on the embeddings."""
+class ClassificationHead(ParameterStore):
+    """Euclidean multinomial logistic regression on the embeddings:
+    `wc` (num_classes, in_dim) and `bc` (1, num_classes)."""
 
     def __init__(self, in_dim: int, num_classes: int, seed: int = 0):
         rng = np.random.default_rng(seed)
-        bound = 1.0 / math.sqrt(in_dim)
-        self.weight = rng.uniform(-bound, bound, size=(num_classes, in_dim))
-        self.bias = np.zeros(num_classes)
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {"wc": self.weight, "bc": self.bias.reshape(1, -1)}
-
-    def set_parameters(self, params) -> None:
-        self.weight = np.asarray(params["wc"], dtype=np.float64)
-        self.bias = np.asarray(params["bc"], dtype=np.float64).reshape(-1)
+        super().__init__({"wc": _uniform(rng, num_classes, in_dim),
+                          "bc": np.zeros((1, num_classes))})
 
     def forward(self, tape: Tape, h: Node, mode: Precision = Precision.DOUBLE):
-        wc = tape.variable(Matrix(self.weight, mode))
-        bc = tape.variable(Matrix(self.bias, mode))
-        return nc_head_forward(h, wc, bc), {"wc": wc, "bc": bc}
+        nodes = self.register(tape, mode)
+        return nc_head_forward(h, nodes["wc"], nodes["bc"]), nodes
 
 
-class RegressionHead:
-    """Median pooling followed by a small MLP readout."""
+class RegressionHead(ParameterStore):
+    """Median pooling followed by a small MLP readout: `r_w1`, `r_b1` for
+    the hidden layer and `r_w2`, `r_b2` for the scalar output."""
 
     def __init__(self, in_dim: int, hidden: int = 16, seed: int = 0):
         rng = np.random.default_rng(seed)
-        b1 = 1.0 / math.sqrt(in_dim)
-        b2 = 1.0 / math.sqrt(hidden)
-        self.w1 = rng.uniform(-b1, b1, size=(hidden, in_dim))
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.uniform(-b2, b2, size=(1, hidden))
-        self.b2 = np.zeros(1)
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {"r_w1": self.w1, "r_b1": self.b1.reshape(1, -1),
-                "r_w2": self.w2, "r_b2": self.b2.reshape(1, -1)}
-
-    def set_parameters(self, params) -> None:
-        self.w1 = np.asarray(params["r_w1"], dtype=np.float64)
-        self.b1 = np.asarray(params["r_b1"], dtype=np.float64).reshape(-1)
-        self.w2 = np.asarray(params["r_w2"], dtype=np.float64)
-        self.b2 = np.asarray(params["r_b2"], dtype=np.float64).reshape(-1)
+        super().__init__({"r_w1": _uniform(rng, hidden, in_dim),
+                          "r_b1": np.zeros((1, hidden)),
+                          "r_w2": _uniform(rng, 1, hidden),
+                          "r_b2": np.zeros((1, 1))})
 
     def forward(self, tape: Tape, h: Node, membership, mode: Precision = Precision.DOUBLE):
         pooled = median_pool(h, membership)
-        nodes = {
-            name: tape.variable(Matrix(value, mode))
-            for name, value in self.parameters().items()
-        }
+        nodes = self.register(tape, mode)
         pred = mlp_readout(pooled, nodes["r_w1"], nodes["r_b1"], nodes["r_w2"], nodes["r_b2"])
         return pred, nodes

@@ -73,20 +73,21 @@ def gr_loss(pred: Node, target) -> Node:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclasses.dataclass
 class OptimizerState:
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     step_count: int = 0
     m: dict = dataclasses.field(default_factory=dict)
     v: dict = dataclasses.field(default_factory=dict)
 
 
-def adam_init(params: dict, lr: float = 0.01, beta1: float = 0.9,
-              beta2: float = 0.999, eps_adam: float = 1e-8) -> OptimizerState:
-    state = OptimizerState(lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam)
+def adam_init(params: dict, lr: float = 0.01) -> OptimizerState:
+    state = OptimizerState(lr=lr)
     for name, value in params.items():
         state.m[name] = np.zeros_like(np.asarray(value, dtype=np.float64))
         state.v[name] = np.zeros_like(state.m[name])
@@ -102,12 +103,12 @@ def adam_step(state: OptimizerState, params: dict, grads: dict) -> dict:
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != np.asarray(value).shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1**t)
-        v_hat = state.v[name] / (1 - state.beta2**t)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1 - ADAM_BETA1**t)
+        v_hat = state.v[name] / (1 - ADAM_BETA2**t)
         out[name] = np.asarray(value, dtype=np.float64) - state.lr * m_hat / (
-            np.sqrt(v_hat) + state.eps_adam
+            np.sqrt(v_hat) + ADAM_EPS
         )
     return out
 
@@ -381,6 +382,14 @@ class BenchResult:
     se: float
 
 
+def check_bench_size(epochs: int, runs: int) -> None:
+    """A standard error needs two timed epochs, and each run drops its
+    first WARMUP_EPOCHS."""
+    if epochs <= WARMUP_EPOCHS or runs < 1 or (epochs - WARMUP_EPOCHS) * runs < 2:
+        raise ValueError(f"benchmarking times the epochs after the first {WARMUP_EPOCHS} of "
+                         f"each run and needs at least two; got epochs {epochs}, runs {runs}")
+
+
 def benchmark_models(kinds, graph: Graph, split: EdgeSplit, seed: int = 0,
                      epochs: int = 50, runs: int = 3,
                      config_base: ModelConfig | None = None,
@@ -390,8 +399,7 @@ def benchmark_models(kinds, graph: Graph, split: EdgeSplit, seed: int = 0,
     measured around forward+backward+step only and the first WARMUP_EPOCHS
     epochs of each run are discarded.  Runs are sequential on purpose to
     keep timings comparable."""
-    if epochs <= WARMUP_EPOCHS:
-        raise ValueError(f"need more than {WARMUP_EPOCHS} epochs to benchmark")
+    check_bench_size(epochs, runs)
     results = []
     for kind in kinds:
         base = config_base or ModelConfig()

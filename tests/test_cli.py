@@ -15,6 +15,15 @@ def run_cli(args, tmp_path, monkeypatch, capsys):
     return code, out.out, out.err
 
 
+def _refuse(token):
+    raise AssertionError(f"report.json holds the non-JSON token {token}")
+
+
+def read_report(out_dir):
+    """report.json parsed as strict JSON: NaN and Infinity fail the test."""
+    return json.loads((out_dir / "report.json").read_text(), parse_constant=_refuse)
+
+
 def test_run_lp_synthetic(tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "r1"
     code, out, err = run_cli(
@@ -23,7 +32,7 @@ def test_run_lp_synthetic(tmp_path, monkeypatch, capsys):
         tmp_path, monkeypatch, capsys,
     )
     assert code == 0
-    report = json.loads((out_dir / "report.json").read_text())
+    report = read_report(out_dir)
     assert {"config", "per_seed", "summary", "timing"} <= set(report)
     assert len(report["per_seed"]) == 2
     assert "auc" in report["summary"]
@@ -50,7 +59,7 @@ def test_run_nc_from_files(tmp_path, monkeypatch, capsys):
         tmp_path, monkeypatch, capsys,
     )
     assert code == 0
-    report = json.loads((out_dir / "report.json").read_text())
+    report = read_report(out_dir)
     assert "accuracy" in report["summary"]
     assert "f1" in report["summary"]
 
@@ -156,7 +165,7 @@ def test_config_file_with_flag_override(tmp_path, monkeypatch, capsys):
         tmp_path, monkeypatch, capsys,
     )
     assert code == 0
-    report = json.loads((out_dir / "report.json").read_text())
+    report = read_report(out_dir)
     assert report["config"]["epochs"] == 5      # from config file
     assert report["config"]["lr"] == 0.02       # from config file
     assert report["config"]["dim"] == 6         # flag wins
@@ -194,13 +203,13 @@ def test_run_loads_the_dataset_once_for_all_seeds(tmp_path, monkeypatch, capsys)
                          tmp_path, monkeypatch, capsys)
     assert code == 0
     assert calls == ["tree:2,3"]
-    per_seed = json.loads((tmp_path / "all" / "report.json").read_text())["per_seed"]
+    per_seed = read_report(tmp_path / "all")["per_seed"]
     for entry in per_seed:
         out_dir = tmp_path / f"seed{entry['seed']}"
         code, _, _ = run_cli(args + ["--seed", str(entry["seed"]), "--out", str(out_dir)],
                              tmp_path, monkeypatch, capsys)
         assert code == 0
-        alone = json.loads((out_dir / "report.json").read_text())["per_seed"][0]
+        alone = read_report(out_dir)["per_seed"][0]
         assert alone["metrics"] == entry["metrics"]
         assert alone["epochs_run"] == entry["epochs_run"]
 
@@ -213,7 +222,7 @@ def test_report_metrics_reproducible(tmp_path, monkeypatch, capsys):
         out_dir = tmp_path / name
         code, _, _ = run_cli(args + ["--out", str(out_dir)], tmp_path, monkeypatch, capsys)
         assert code == 0
-        reports.append(json.loads((out_dir / "report.json").read_text()))
+        reports.append(read_report(out_dir))
     assert reports[0]["summary"] == reports[1]["summary"]
     assert reports[0]["per_seed"][0]["metrics"] == reports[1]["per_seed"][0]["metrics"]
 
@@ -226,7 +235,7 @@ def test_bench_two_models(tmp_path, monkeypatch, capsys):
         tmp_path, monkeypatch, capsys,
     )
     assert code == 0
-    report = json.loads((out_dir / "report.json").read_text())
+    report = read_report(out_dir)
     assert "hgcn-agg0_vs_shgcn" in report["summary"]
     assert "speedup" in out
 
@@ -239,7 +248,7 @@ def test_run_single_seed_flag(tmp_path, monkeypatch, capsys):
         tmp_path, monkeypatch, capsys,
     )
     assert code == 0
-    report = json.loads((out_dir / "report.json").read_text())
+    report = read_report(out_dir)
     assert [e["seed"] for e in report["per_seed"]] == [7]
     code, _, err = run_cli(
         ["run", "--synthetic", "tree:2,3", "--seed", "7", "--seeds", "1,2"],
@@ -256,7 +265,7 @@ def test_run_graph_regression(tmp_path, monkeypatch, capsys):
         tmp_path, monkeypatch, capsys,
     )
     assert code == 0
-    report = json.loads((out_dir / "report.json").read_text())
+    report = read_report(out_dir)
     assert "mae" in report["summary"]
 
 
@@ -358,3 +367,74 @@ def test_run_non_finite_parameter_exits_1_without_output(tmp_path, monkeypatch, 
     assert code == 1
     assert "runtime failure: epoch 0: parameter 'w0' is not finite" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["run", "--layers", "0"], "need num_layers >= 1 and hidden_dim >= 1"),
+    (["run", "--dim", "0"], "need num_layers >= 1 and hidden_dim >= 1"),
+    (["run", "--dropout", "1.5"], "dropout must be in [0, 1)"),
+    (["run", "--decoder-t", "0"], "temperature t must be positive and finite"),
+    (["run", "--curvature", "0"], "init_curvature must be positive and finite"),
+    (["run", "--seeds", "a"], "seeds must be integers, got 'a'"),
+    (["run", "--epochs", "0"], "epochs must be at least 1, got 0"),
+    (["run", "--ratios", "1,0,0"], "split 14 edges into 14 for training and 0 for testing"),
+    (["run", "--task", "nc", "--ratios", "1,0,0"],
+     "split 15 nodes into 15 for training and 0 for testing"),
+    (["run", "--task", "gr", "--synthetic", "erdos:10,0.2,0", "--count", "3"],
+     "split 3 graphs into 3 for training and 0 for testing"),
+    (["bench", "--epochs", "3"], "needs at least two; got epochs 3, runs 1"),
+    (["bench", "--epochs", "6"], "needs at least two; got epochs 6, runs 1"),
+    (["bench", "--runs", "0"], "needs at least two; got epochs 8, runs 0"),
+    (["bench", "--layers", "0"], "need num_layers >= 1 and hidden_dim >= 1"),
+    (["bench", "--ratios", "0,0.5,0.5"], "split 14 edges into 0 for training"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_invalid_option_values_exit_2_without_output(tmp_path, monkeypatch, capsys,
+                                                     extra, message):
+    # an option given twice takes its last value, so `extra` overrides these
+    base = {"run": ["--epochs", "3", "--dim", "4"],
+            "bench": ["--models", "gcn,shgcn", "--epochs", "8", "--runs", "1", "--dim", "4"]}
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        [extra[0], "--synthetic", "tree:2,3", *base[extra[0]], *extra[1:],
+         "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 2, err
+    assert err.startswith("error: ") and message in err
+    assert not out_dir.exists() and not (tmp_path / "envout").exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("run", {"synthetic": "tree:2,3"}, "synthetic"),
+    ("run", {"edges": "e.csv", "features": "x.csv"}, "edges"),
+    ("bench", {"epochs": 7, "precision": "single"}, "precision"),
+    ("bench", {"seeds": "0,1"}, "seeds"),
+])
+def test_config_keys_the_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys,
+                                                          command, config, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    models = ["--models", "gcn,shgcn"] if command == "bench" else []
+    code, _, err = run_cli(
+        [command, *models, "--synthetic", "tree:2,3", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 2
+    assert "unknown config keys" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_reads_epochs_from_the_config_file(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"epochs": 7, "dim": 4}))
+    out_dir = tmp_path / "b"
+    code, _, err = run_cli(
+        ["bench", "--models", "gcn,shgcn", "--synthetic", "tree:2,3", "--runs", "1",
+         "--config", str(cfg), "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 0, err
+    report = read_report(out_dir)
+    assert report["config"]["epochs"] == 7 and report["config"]["dim"] == 4
+    assert [e["epochs_timed"] for e in report["per_seed"]] == [2, 2]

@@ -481,6 +481,31 @@ def test_tree_counts():
     assert g.labels.max() == 5
 
 
+def reference_tree(branching: int, depth: int):
+    """Edges and depth labels of the complete tree, grown level by level."""
+    edges, labels, frontier, next_id = [], [0], [0], 1
+    for level in range(1, depth + 1):
+        new_frontier = []
+        for parent in frontier:
+            for _ in range(branching):
+                edges.append((parent, next_id))
+                labels.append(level)
+                new_frontier.append(next_id)
+                next_id += 1
+        frontier = new_frontier
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.asarray(labels)
+
+
+@pytest.mark.parametrize("b,d", [(1, 0), (1, 5), (2, 0), (2, 4), (3, 6), (4, 3)])
+def test_tree_matches_level_by_level_reference(b, d):
+    g = tree_graph(b, d)
+    edges, labels = reference_tree(b, d)
+    assert g.n == len(labels) and g.edges.shape == edges.shape
+    assert np.array_equal(g.edges, edges) and g.edges.dtype == edges.dtype
+    assert np.array_equal(g.labels, labels)
+    assert np.array_equal(g.features, _landmark_features(g.n, edges))
+
+
 def test_cycle_basic():
     g = cycle_graph(6)
     assert g.n == 6 and g.num_edges == 6

@@ -8,10 +8,12 @@ from shgcn.autodiff import Matrix, Tape, finite_diff_grad
 from shgcn.geometry import exp0_array, log0_array, mobius_add_array, project_array
 from shgcn.graphs import Graph, normalized_adjacency
 from shgcn.layers import (
+    ClassificationHead,
     DecoderConfig,
     GraphModel,
     LayerParams,
     ModelConfig,
+    RegressionHead,
     ballify_rows,
     feature_transform,
     fermi_dirac_edge_scores,
@@ -421,3 +423,88 @@ def test_constant_features_leave_parameter_gradients_bit_identical(
     assert as_constant.keys() == as_variables.keys()
     for name in as_constant:
         assert np.array_equal(as_constant[name], as_variables[name]), name
+
+
+# ---------------------------------------------------------------------------
+# the parameter store
+# ---------------------------------------------------------------------------
+
+
+def _draws(seed, *shapes):
+    """Seeded U(-1/sqrt(d_in), 1/sqrt(d_in)) draws, one per (d_out, d_in)
+    shape, in order."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-1 / math.sqrt(d_in), 1 / math.sqrt(d_in), size=(d_out, d_in))
+            for d_out, d_in in shapes]
+
+
+@pytest.mark.parametrize("kind", ["shgcn", "hgcn-agg0", "gcn"])
+def test_graph_model_parameter_layout_and_init(kind):
+    config = ModelConfig(layer_kind=kind, num_layers=3, hidden_dim=4, init_curvature=0.7)
+    params = GraphModel(config, 5, seed=9).parameters()
+    names = ["w0", "b0", "c0", "w1", "b1", "c1", "w2", "b2", "c2"]
+    names += ["c_out"] if kind == "hgcn-agg0" else []
+    assert list(params) == names
+    weights = _draws(9, (4, 5), (4, 4), (4, 4))
+    for i in range(3):
+        assert np.array_equal(params[f"w{i}"], weights[i])
+        assert np.array_equal(params[f"b{i}"], np.zeros((1, 4)))
+    for name in names:
+        assert params[name].ndim == 2 and params[name].dtype == np.float64
+        if name.startswith("c"):
+            assert params[name].shape == (1, 1)
+            assert params[name][0, 0] == inverse_softplus(0.7)
+
+
+def test_head_parameter_layout_and_init():
+    wc, = _draws(4, (3, 6))
+    head = ClassificationHead(6, 3, seed=4)
+    assert list(head.parameters()) == ["wc", "bc"]
+    assert np.array_equal(head.parameters()["wc"], wc)
+    assert np.array_equal(head.parameters()["bc"], np.zeros((1, 3)))
+
+    w1, w2 = _draws(4, (5, 6), (1, 5))
+    head = RegressionHead(6, 5, seed=4)
+    params = head.parameters()
+    assert list(params) == ["r_w1", "r_b1", "r_w2", "r_b2"]
+    assert np.array_equal(params["r_w1"], w1) and np.array_equal(params["r_w2"], w2)
+    assert np.array_equal(params["r_b1"], np.zeros((1, 5)))
+    assert np.array_equal(params["r_b2"], np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GraphModel(ModelConfig(layer_kind="hgcn-agg0", num_layers=2, hidden_dim=3), 2),
+    lambda: ClassificationHead(3, 4),
+    lambda: RegressionHead(3, 2),
+], ids=["graph-model", "classification-head", "regression-head"])
+def test_set_parameters_reads_flat_biases_and_scalar_curvatures(make):
+    module = make()
+    shapes = {name: value.shape for name, value in module.parameters().items()}
+    rng = np.random.default_rng(2)
+    new = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+
+    def loose(value):  # a one-row array as 1-D, a 1 x 1 one as 0-D
+        return value.reshape(()) if value.size == 1 else value[0] if len(value) == 1 else value
+
+    flat = {name: loose(value) for name, value in new.items()}
+    assert any(v.ndim == 1 for v in flat.values())
+    module.set_parameters({**flat, "unrelated": np.zeros(7)})
+    got = module.parameters()
+    assert list(got) == list(shapes)
+    for name in shapes:
+        assert got[name].shape == shapes[name] and np.array_equal(got[name], new[name])
+    module.set_parameters(got)  # its own output round-trips unchanged
+    for name, value in module.parameters().items():
+        assert np.array_equal(value, new[name])
+    wrong = dict(got)
+    first = next(iter(got))
+    wrong[first] = np.zeros((7, 7))
+    with pytest.raises(ValueError, match=f"parameter '{first}' has shape"):
+        module.set_parameters(wrong)
+
+
+def test_config_rejects_non_positive_curvature():
+    for c in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="init_curvature"):
+            ModelConfig(init_curvature=c)
+    assert softplus_float(inverse_softplus(1000.0)) == 1000.0  # no overflow

@@ -130,7 +130,7 @@ def test_adam_first_step_magnitude():
     params = {"w": np.array([[0.0]])}
     state = adam_init(params, lr=0.01)
     out = adam_step(state, params, {"w": np.array([[2.0]])})
-    assert abs(out["w"][0, 0] + 0.01) < 1e-8  # -lr * sign(g) within eps_adam
+    assert abs(out["w"][0, 0] + 0.01) < 1e-8  # -lr * sign(g) within ADAM_EPS
 
 
 def test_adam_constant_gradient_updates_shrink():
@@ -583,6 +583,13 @@ def test_benchmark_needs_enough_epochs(small_tree_setup):
     graph, split = small_tree_setup
     with pytest.raises(ValueError):
         benchmark_models(["gcn", "shgcn"], graph, split, epochs=3)
+
+
+@pytest.mark.parametrize("epochs, runs", [(5, 3), (6, 1), (20, 0)])
+def test_benchmark_needs_two_timed_epochs(small_tree_setup, epochs, runs):
+    graph, split = small_tree_setup
+    with pytest.raises(ValueError, match="needs at least two"):
+        benchmark_models(["gcn", "shgcn"], graph, split, epochs=epochs, runs=runs)
 
 
 # ---------------------------------------------------------------------------
