@@ -14,15 +14,19 @@ The default output directory comes from $SHGCN_OUT_DIR (falling back to
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .graphs import (
+    DELTA_NODE_CAP,
     Graph,
     check_ratios,
     delta_hyperbolicity,
@@ -33,7 +37,7 @@ from .graphs import (
     split_nodes,
     split_sizes,
 )
-from .layers import DecoderConfig, ModelConfig
+from .layers import ACTIVATIONS, LAYER_KINDS, DecoderConfig, ModelConfig
 from .precision import Precision
 from .stability import all_threshold_reports, reports_to_csv, reports_to_text
 from .training import (
@@ -47,33 +51,113 @@ from .training import (
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
-RUN_DEFAULTS = {
-    "task": "lp",
-    "model": "shgcn",
-    "layers": 2,
-    "dim": 16,
-    "activation": "relu",
-    "lr": 0.01,
-    "epochs": 1000,
-    "patience": 100,
-    "seeds": "0",
-    "ratios": "0.85,0.05,0.10",
-    "decoder_r": 2.0,
-    "decoder_t": 1.0,
-    "dropout": 0.0,
-    "curvature": 1.0,
-    "precision": "double",
-    "count": 24,
-}
-BENCH_DEFAULTS = {k: RUN_DEFAULTS[k] for k in (
-    "layers", "dim", "activation", "lr", "ratios", "curvature", "decoder_r", "decoder_t",
-)} | {"epochs": 50}
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = USAGE_ERROR):
         super().__init__(message)
         self.code = code
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Turn a ValueError from validating user input into a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _integer(raw) -> int:
+    """A whole number such as 5, "5", 5.0 or "5.0"; booleans, fractions and null are refused."""
+    if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+        with contextlib.suppress(ValueError):
+            return int(raw)  # exact for any size
+    with contextlib.suppress(ValueError):
+        if (value := _number(raw)).is_integer():
+            return int(value)
+    raise ValueError("an integer")
+
+
+def _number(raw) -> float:
+    if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+        with contextlib.suppress(ValueError):
+            return float(raw)
+    raise ValueError("a number")
+
+
+def _at_least_1(raw) -> int:
+    if (value := _integer(raw)) < 1:
+        raise ValueError("at least 1")
+    return value
+
+
+def _positive(raw) -> float:
+    if not 0.0 < (value := _number(raw)) < math.inf:
+        raise ValueError("positive and finite")
+    return value
+
+
+def _seeds(raw) -> list[int]:
+    seeds = [_integer(s) for s in (raw if isinstance(raw, list) else str(raw).split(","))
+             if s != ""]
+    if not seeds:
+        raise CliError("need at least one seed")
+    return seeds
+
+
+def _ratios(raw) -> tuple[float, float, float]:
+    return check_ratios([_number(x) for x in
+                         (raw if isinstance(raw, list) else str(raw).split(","))])
+
+
+class Option(NamedTuple):
+    # the choices, or a function of a flag's string or a config file's JSON
+    # value that raises ValueError naming what it needs
+    parse: tuple | Callable
+    default: object  # parsed like a given value
+    refused: str = ""  # a refused value's usage error if not "<key> must be <need>, got <value>"
+    help: str = ""
+
+
+# every option that `run` reads from a flag or a config file, in report order;
+# the range checks of the model and the decoder stay in their configs
+OPTIONS = {
+    "task": Option(("lp", "nc", "gr"), "lp"),
+    "model": Option(LAYER_KINDS, "shgcn"),
+    "layers": Option(_integer, 2),
+    "dim": Option(_integer, 16),
+    "activation": Option(ACTIVATIONS, "relu"),
+    "lr": Option(_positive, 0.01),
+    "epochs": Option(_at_least_1, 1000),
+    "patience": Option(_at_least_1, 100),
+    "seeds": Option(_seeds, "0", "seeds must be integers, got {!r}", "comma-separated list"),
+    "ratios": Option(_ratios, "0.85,0.05,0.10",
+                     "ratios must be three nonnegatives summing to 1, got {}",
+                     "train,val,test fractions"),
+    "decoder_r": Option(_number, 2.0),
+    "decoder_t": Option(_number, 1.0),
+    "dropout": Option(_number, 0.0),
+    "curvature": Option(_number, 1.0),
+    "precision": Option(("half", "single", "double"), "double"),
+    "count": Option(_at_least_1, 24, help="family size for graph regression"),
+}
+BENCH_KEYS = ("layers", "dim", "activation", "lr", "ratios", "curvature", "decoder_r",
+              "decoder_t", "epochs")
+BENCH_EPOCHS = 50  # bench's default; run's is the table's
+
+
+def _parse(key: str, raw):
+    """One option's value; a refused value is a usage error."""
+    option = OPTIONS[key]
+    if isinstance(option.parse, tuple):
+        if raw in option.parse:
+            return raw
+        raise CliError(f"unknown {key} {raw!r} (use {', '.join(option.parse)})")
+    try:
+        return option.parse(raw)
+    except ValueError as exc:
+        raise CliError(option.refused.format(raw) if option.refused
+                       else f"{key} must be {exc}, got {raw}") from None
 
 
 def _out_dir(args) -> str:
@@ -82,7 +166,7 @@ def _out_dir(args) -> str:
 
 def _write_report(out_dir: str, payload: dict, text: str) -> None:
     # a non-finite value raises here instead of reaching the file as NaN
-    blob = json.dumps(payload, indent=2, default=_jsonable, allow_nan=False)
+    blob = json.dumps(payload, indent=2, allow_nan=False)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(blob)
@@ -90,75 +174,39 @@ def _write_report(out_dir: str, payload: dict, text: str) -> None:
         fh.write(text)
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
-def _load_config_file(path: str | None, keys) -> dict:
-    if path is None:
-        return {}
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file is not valid JSON: {exc}") from None
-    unknown = set(data) - set(keys)
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
-    return data
-
-
-def _resolve(args, defaults: dict) -> dict:
-    """Precedence: built-in defaults < config file < explicit flags.  A
-    config key outside `defaults` is a usage error."""
-    resolved = dict(defaults)
-    resolved.update(_load_config_file(args.config, defaults))
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
-
-
-def _parse_seeds(raw) -> list[int]:
-    try:
-        if isinstance(raw, (list, tuple)):
-            seeds = [int(s) for s in raw]
-        else:
-            seeds = [int(s) for s in str(raw).split(",") if s != ""]
-    except (TypeError, ValueError):
-        raise CliError(f"seeds must be integers, got {raw!r}") from None
-    if not seeds:
-        raise CliError("need at least one seed")
-    return seeds
-
-
-def _parse_ratios(raw) -> tuple[float, float, float]:
-    try:
-        return check_ratios(raw if isinstance(raw, (list, tuple)) else str(raw).split(","))
-    except (TypeError, ValueError):  # TypeError: a JSON null among the ratios
-        raise CliError(f"ratios must be three nonnegatives summing to 1, got {raw}") from None
+def _resolve(args, keys, **defaults) -> dict:
+    """The parsed value of each option in `keys`.  Precedence: the table's
+    default (or `defaults`) < config file < explicit flag; all three go
+    through the option's one parser.  A config key outside `keys` is a
+    usage error."""
+    given = {}
+    if args.config is not None:
+        if not os.path.exists(args.config):
+            raise CliError(f"config file not found: {args.config}")
+        with open(args.config) as fh:
+            try:
+                given = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(given, dict):
+            raise CliError(f"config file must hold one JSON object, not {type(given).__name__}")
+        if unknown := set(given) - set(keys):
+            raise CliError(f"unknown config keys: {sorted(unknown)}")
+    cfg = {key: defaults.get(key, OPTIONS[key].default) for key in keys} | given
+    for key in keys:
+        flag = getattr(args, key)
+        cfg[key] = _parse(key, cfg[key] if flag is None else flag)
+    return cfg
 
 
 def _configs(cfg: dict, layer_kind: str = "shgcn") -> tuple[ModelConfig, DecoderConfig]:
     """The model and decoder of a resolved config; a value out of range is
     a usage error."""
-    try:
-        model = ModelConfig(layer_kind=layer_kind, num_layers=int(cfg["layers"]),
-                            hidden_dim=int(cfg["dim"]), activation=cfg["activation"],
-                            init_curvature=float(cfg["curvature"]),
-                            dropout=float(cfg.get("dropout", 0.0)))
-        return model, DecoderConfig(r=float(cfg["decoder_r"]), t=float(cfg["decoder_t"]))
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+    with _usage_errors():
+        model = ModelConfig(layer_kind=layer_kind, num_layers=cfg["layers"],
+                            hidden_dim=cfg["dim"], activation=cfg["activation"],
+                            init_curvature=cfg["curvature"], dropout=cfg.get("dropout", 0.0))
+        return model, DecoderConfig(r=cfg["decoder_r"], t=cfg["decoder_t"])
 
 
 def _check_split(count: int, ratios, items: str, need_test: bool = True) -> None:
@@ -174,23 +222,20 @@ def _load_dataset(args) -> Graph:
     if args.synthetic and args.edges:
         raise CliError("give either --synthetic or --edges, not both")
     if args.synthetic:
-        try:
+        with _usage_errors():
             return parse_synthetic(args.synthetic)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
     if args.edges:
         for path in (args.edges, args.features, args.labels):
             if path is not None and not os.path.exists(path):
                 raise CliError(f"input file not found: {path}")
-        try:
+        with _usage_errors():
             return load_graph(args.edges, args.features, args.labels)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
     raise CliError("no dataset: pass --synthetic <spec> or --edges <file>")
 
 
 def _regression_family(spec: str, count: int, seed: int) -> list[Graph]:
-    """A family of random graphs around an erdos template; the regression
+    """A family of random graphs around an erdos template: member i draws
+    its edge probability from [p/2, 3p/2], capped at 1.  The regression
     target is ten times the realized edge density."""
     kind, _, rest = spec.partition(":")
     if kind != "erdos":
@@ -198,12 +243,14 @@ def _regression_family(spec: str, count: int, seed: int) -> list[Graph]:
     try:
         n, p, _ = rest.split(",")
         n, p = int(n), float(p)
+        if n < 2 or not 0.0 <= p <= 1.0:
+            raise ValueError
     except ValueError:
-        raise CliError(f"bad erdos template {spec!r}") from None
+        raise CliError(f"bad erdos template {spec!r}: need n >= 2 and p in [0, 1]") from None
     rng = np.random.default_rng(seed)
     graphs = []
     for i in range(count):
-        pi = float(rng.uniform(0.5 * p, 1.5 * p))
+        pi = min(float(rng.uniform(0.5 * p, 1.5 * p)), 1.0)
         g = erdos_graph(n, pi, seed=seed + 1000 + i)
         density = 2.0 * g.num_edges / (g.n * (g.n - 1))
         graphs.append(Graph(g.n, g.edges, g.features, g.labels, 10.0 * density))
@@ -216,49 +263,36 @@ def _regression_family(spec: str, count: int, seed: int) -> list[Graph]:
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve(args, RUN_DEFAULTS)
-    if cfg["task"] not in ("lp", "nc", "gr"):
-        raise CliError(f"unknown task {cfg['task']!r} (use lp, nc or gr)")
-    if getattr(args, "seed", None) is not None:
+    cfg = _resolve(args, OPTIONS)
+    if args.seed is not None:
         if args.seeds is not None:
             raise CliError("give either --seed or --seeds, not both")
-        cfg["seeds"] = str(args.seed)
-    seeds = _parse_seeds(cfg["seeds"])
-    ratios = _parse_ratios(cfg["ratios"])
-    try:
-        mode = Precision.parse(cfg["precision"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        cfg["seeds"] = [args.seed]
+    mode, ratios = Precision(cfg["precision"]), cfg["ratios"]
     if mode is Precision.HALF:
         raise CliError("training runs support single/double only; half is a forward probe mode")
     model_config, decoder = _configs(cfg, cfg["model"])
-    if int(cfg["epochs"]) < 1:
-        raise CliError(f"epochs must be at least 1, got {cfg['epochs']}")
-    resolved = {**cfg, "seeds": seeds, "ratios": list(ratios),
-                "dataset": args.synthetic or args.edges, "version": __version__}
+    resolved = {**cfg, "dataset": args.synthetic or args.edges, "version": __version__}
 
     graph = None if cfg["task"] == "gr" else _load_dataset(args)
-    count, items = ((int(cfg["count"]), "graphs") if cfg["task"] == "gr" else
+    count, items = ((cfg["count"], "graphs") if cfg["task"] == "gr" else
                     (graph.num_edges, "edges") if cfg["task"] == "lp" else (graph.n, "nodes"))
     _check_split(count, ratios, items)
     per_seed = []
-    for seed in seeds:
+    for seed in cfg["seeds"]:
         if cfg["task"] == "gr":
-            family = _regression_family(args.synthetic or "", int(cfg["count"]), seed)
+            family = _regression_family(args.synthetic or "", cfg["count"], seed)
             result = train_graph_regression(
-                model_config, family, seed=seed, epochs=int(cfg["epochs"]),
-                patience=int(cfg["patience"]), lr=float(cfg["lr"]),
-                ratios=ratios, mode=mode,
+                model_config, family, seed=seed, epochs=cfg["epochs"],
+                patience=cfg["patience"], lr=cfg["lr"], ratios=ratios, mode=mode,
             )
         else:
-            if cfg["task"] == "lp":
-                split = split_edges(graph, ratios, seed)
-            else:
-                split = split_nodes(graph.n, ratios, seed)
+            split = (split_edges(graph, ratios, seed) if cfg["task"] == "lp"
+                     else split_nodes(graph.n, ratios, seed))
             result = train_model(
                 model_config, graph, split, task=cfg["task"], seed=seed,
-                epochs=int(cfg["epochs"]), patience=int(cfg["patience"]),
-                lr=float(cfg["lr"]), decoder=decoder, mode=mode,
+                epochs=cfg["epochs"], patience=cfg["patience"], lr=cfg["lr"],
+                decoder=decoder, mode=mode,
             )
         entry = {"seed": seed, "metrics": result.test_metrics,
                  "epochs_run": len(result.records)}
@@ -266,9 +300,8 @@ def cmd_run(args) -> int:
             entry["epoch_time_mean"] = float(result.epoch_times.mean())
         per_seed.append(entry)
 
-    metric_names = sorted(per_seed[0]["metrics"]) if per_seed else []
     summary = {}
-    for name in metric_names:
+    for name in sorted(per_seed[0]["metrics"]):
         vals = np.array([e["metrics"][name] for e in per_seed], dtype=np.float64)
         summary[name] = {"mean": float(vals.mean()),
                          "std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0}
@@ -293,26 +326,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _resolve(args, BENCH_DEFAULTS)
-    kinds = [k.strip() for k in args.models.split(",") if k.strip()]
+    cfg = _resolve(args, BENCH_KEYS, epochs=BENCH_EPOCHS)
+    kinds = [_parse("model", k.strip()) for k in args.models.split(",") if k.strip()]
     if len(kinds) < 2:
         raise CliError("bench needs at least two model kinds (--models a,b)")
-    epochs = int(cfg["epochs"])
-    try:
+    epochs, ratios = cfg["epochs"], cfg["ratios"]
+    with _usage_errors():
         check_bench_size(epochs, args.runs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     base, decoder = _configs(cfg)
-    ratios = _parse_ratios(cfg["ratios"])
     graph = _load_dataset(args)
     _check_split(graph.num_edges, ratios, "edges", need_test=False)
-    seed = args.seed if args.seed is not None else 0
-    split = split_edges(graph, ratios, seed)
+    split = split_edges(graph, ratios, args.seed)
     results = benchmark_models(
-        kinds, graph, split, seed=seed, epochs=epochs, runs=args.runs,
-        config_base=base, decoder=decoder, lr=float(cfg["lr"]),
+        kinds, graph, split, seed=args.seed, epochs=epochs, runs=args.runs,
+        config_base=base, decoder=decoder, lr=cfg["lr"],
     )
-    by_kind = {r.kind: r for r in results}
 
     speedups = {}
     subject = results[-1]
@@ -322,14 +350,10 @@ def cmd_bench(args) -> int:
             "speedup": ratio, "ci95_low": lo, "ci95_high": hi,
         }
     payload = {
-        "config": {**cfg, "models": kinds, "epochs": epochs, "runs": args.runs,
-                   "seed": seed, "dataset": args.synthetic or args.edges,
-                   "version": __version__},
-        "per_seed": [
-            {"model": r.kind, "epoch_time_mean": r.mean, "epoch_time_se": r.se,
-             "epochs_timed": len(r.times)}
-            for r in results
-        ],
+        "config": {**cfg, "models": kinds, "runs": args.runs, "seed": args.seed,
+                   "dataset": args.synthetic or args.edges, "version": __version__},
+        "per_seed": [{"model": r.kind, "epoch_time_mean": r.mean, "epoch_time_se": r.se,
+                      "epochs_timed": len(r.times)} for r in results],
         "summary": speedups,
         "timing": {r.kind: {"mean": r.mean, "se": r.se} for r in results},
     }
@@ -337,10 +361,8 @@ def cmd_bench(args) -> int:
     for r in results:
         lines.append(f"  {r.kind:<10} {r.mean * 1e3:9.4f} ms/epoch  (se {r.se * 1e3:.4f})")
     for name, s in speedups.items():
-        lines.append(
-            f"speedup {name}: {s['speedup']:.3f}x "
-            f"[{s['ci95_low']:.3f}, {s['ci95_high']:.3f}]"
-        )
+        lines.append(f"speedup {name}: {s['speedup']:.3f}x "
+                     f"[{s['ci95_low']:.3f}, {s['ci95_high']:.3f}]")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     _write_report(_out_dir(args), payload, text)
@@ -366,10 +388,8 @@ def cmd_stability(args) -> int:
 
 def cmd_hyperbolicity(args) -> int:
     graph = _load_dataset(args)
-    try:
+    with _usage_errors():
         delta = delta_hyperbolicity(graph, node_cap=args.cap)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     print(f"delta = {delta}")
     if args.out:
         payload = {"config": {"dataset": args.synthetic or args.edges,
@@ -400,44 +420,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="train and evaluate a model")
-    _add_dataset_flags(run)
-    run.add_argument("--task", choices=["lp", "nc", "gr"])
-    run.add_argument("--model", choices=["shgcn", "hgcn-agg0", "gcn"])
-    run.add_argument("--layers", type=int)
-    run.add_argument("--dim", type=int)
-    run.add_argument("--activation", choices=["relu", "identity"])
-    run.add_argument("--lr", type=float)
-    run.add_argument("--epochs", type=int)
-    run.add_argument("--patience", type=int)
-    run.add_argument("--seeds", help="comma-separated list, e.g. 0,1,2")
     run.add_argument("--seed", type=int, help="shorthand for a single-entry --seeds")
-    run.add_argument("--ratios", help="train,val,test fractions")
-    run.add_argument("--decoder-r", dest="decoder_r", type=float)
-    run.add_argument("--decoder-t", dest="decoder_t", type=float)
-    run.add_argument("--dropout", type=float)
-    run.add_argument("--curvature", type=float)
-    run.add_argument("--precision", choices=["half", "single", "double"])
-    run.add_argument("--count", type=int, help="family size for graph regression")
-    run.add_argument("--config", help="JSON config file; flags override it")
-    run.add_argument("--out", help="output directory (default $SHGCN_OUT_DIR or ./reports)")
-    run.set_defaults(func=cmd_run)
-
     bench = sub.add_parser("bench", help="compare per-epoch training time across models")
-    _add_dataset_flags(bench)
     bench.add_argument("--models", required=True, help="comma-separated kinds")
-    bench.add_argument("--epochs", type=int, help="default 50")
     bench.add_argument("--runs", type=int, default=3)
-    bench.add_argument("--seed", type=int)
-    bench.add_argument("--layers", type=int)
-    bench.add_argument("--dim", type=int)
-    bench.add_argument("--activation", choices=["relu", "identity"])
-    bench.add_argument("--lr", type=float)
-    bench.add_argument("--ratios")
-    bench.add_argument("--curvature", type=float)
-    bench.add_argument("--decoder-r", dest="decoder_r", type=float)
-    bench.add_argument("--decoder-t", dest="decoder_t", type=float)
-    bench.add_argument("--config", help="JSON config file; flags override it")
-    bench.add_argument("--out")
+    bench.add_argument("--seed", type=int, default=0)
+    for cmd, keys, defaults in ((run, OPTIONS, {}),
+                                (bench, BENCH_KEYS, {"epochs": BENCH_EPOCHS})):
+        _add_dataset_flags(cmd)
+        for key in keys:
+            option = OPTIONS[key]
+            default = defaults.get(key, option.default)
+            cmd.add_argument("--" + key.replace("_", "-"),
+                             choices=option.parse if isinstance(option.parse, tuple) else None,
+                             help=f"{option.help} (default {default})".lstrip())
+        cmd.add_argument("--config", help="JSON config file; flags override it")
+        cmd.add_argument("--out", help="output directory (default $SHGCN_OUT_DIR or ./reports)")
+    run.set_defaults(func=cmd_run)
     bench.set_defaults(func=cmd_bench)
 
     stab = sub.add_parser("stability", help="emit per-precision collapse thresholds")
@@ -446,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hyp = sub.add_parser("hyperbolicity", help="exact Gromov delta of a graph")
     _add_dataset_flags(hyp)
-    hyp.add_argument("--cap", type=int, default=600,
+    hyp.add_argument("--cap", type=int, default=DELTA_NODE_CAP,
                      help="refuse graphs larger than this (the algorithm is n^4)")
     hyp.add_argument("--out")
     hyp.set_defaults(func=cmd_hyperbolicity)

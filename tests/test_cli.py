@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shgcn import training
-from shgcn.cli import main
+from shgcn.cli import OPTIONS, main
 
 
 def run_cli(args, tmp_path, monkeypatch, capsys):
@@ -269,6 +269,18 @@ def test_run_graph_regression(tmp_path, monkeypatch, capsys):
     assert "mae" in report["summary"]
 
 
+def test_graph_regression_caps_member_edge_probability_at_1(tmp_path, monkeypatch, capsys):
+    # members draw p from [p/2, 3p/2], so a template p above 2/3 overshoots 1
+    out_dir = tmp_path / "gr"
+    code, _, err = run_cli(
+        ["run", "--task", "gr", "--synthetic", "erdos:8,0.9,0", "--count", "8",
+         "--epochs", "2", "--dim", "4", "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 0, err
+    assert "mae" in read_report(out_dir)["summary"]
+
+
 def test_bench_single_model_exits_2(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(
         ["bench", "--models", "shgcn", "--synthetic", "tree:2,3"],
@@ -387,6 +399,17 @@ def test_run_non_finite_parameter_exits_1_without_output(tmp_path, monkeypatch, 
     (["bench", "--runs", "0"], "needs at least two; got epochs 8, runs 0"),
     (["bench", "--layers", "0"], "need num_layers >= 1 and hidden_dim >= 1"),
     (["bench", "--ratios", "0,0.5,0.5"], "split 14 edges into 0 for training"),
+    (["bench", "--models", "shgcn,bogus"], "unknown model 'bogus'"),
+    (["run", "--task", "gr", "--synthetic", "erdos:10,2.0,0"],
+     "bad erdos template 'erdos:10,2.0,0': need n >= 2 and p in [0, 1]"),
+    (["run", "--task", "gr", "--synthetic", "erdos:0,0.2,0"],
+     "bad erdos template 'erdos:0,0.2,0': need n >= 2 and p in [0, 1]"),
+    (["run", "--task", "gr", "--synthetic", "erdos:1,0.5,0"],
+     "bad erdos template 'erdos:1,0.5,0': need n >= 2 and p in [0, 1]"),
+    (["run", "--lr", "-1"], "lr must be positive and finite, got -1"),
+    (["run", "--lr", "nan"], "lr must be positive and finite, got nan"),
+    (["run", "--patience", "0"], "patience must be at least 1, got 0"),
+    (["run", "--layers", "2.5"], "layers must be an integer, got 2.5"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_invalid_option_values_exit_2_without_output(tmp_path, monkeypatch, capsys,
                                                      extra, message):
@@ -438,3 +461,82 @@ def test_bench_reads_epochs_from_the_config_file(tmp_path, monkeypatch, capsys):
     report = read_report(out_dir)
     assert report["config"]["epochs"] == 7 and report["config"]["dim"] == 4
     assert [e["epochs_timed"] for e in report["per_seed"]] == [2, 2]
+
+
+# one valid value per option: (as a flag, as a config-file JSON value)
+SAME_VALUE = {
+    "task": ("nc", "nc"),
+    "model": ("gcn", "gcn"),
+    "layers": ("3", 3),
+    "dim": ("5", 5),
+    "activation": ("identity", "identity"),
+    "lr": ("0.02", 0.02),
+    "epochs": ("3", 3),
+    "patience": ("2", 2),
+    "seeds": ("1,2", [1, 2]),
+    "ratios": ("0.8,0.1,0.1", [0.8, 0.1, 0.1]),
+    "decoder_r": ("1.5", 1.5),
+    "decoder_t": ("0.5", 0.5),
+    "dropout": ("0.1", 0.1),
+    "curvature": ("0.5", 0.5),
+    "precision": ("single", "single"),
+    "count": ("12", 12),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONS))
+def test_flag_and_config_value_parse_the_same(tmp_path, monkeypatch, capsys, key):
+    flag, value = SAME_VALUE[key]
+    parsed = []
+    for name, config, extra in (("flag", {}, ["--" + key.replace("_", "-"), flag]),
+                                ("config", {key: value}, [])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"epochs": 2, "dim": 4} | config))
+        out_dir = tmp_path / name
+        code, _, err = run_cli(
+            ["run", "--synthetic", "tree:2,3", "--config", str(cfg), *extra,
+             "--out", str(out_dir)],
+            tmp_path, monkeypatch, capsys,
+        )
+        assert code == 0, err
+        parsed.append(read_report(out_dir)["config"][key])
+    assert parsed == [value, value]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"precision": 5}, "unknown precision 5"),
+    ({"precision": "DOUBLE"}, "unknown precision 'DOUBLE'"),
+    ({"patience": None}, "patience must be an integer, got None"),
+    ({"epochs": "x"}, "epochs must be an integer, got x"),
+    ({"layers": 2.7}, "layers must be an integer, got 2.7"),
+    ({"dim": True}, "dim must be an integer, got True"),
+    ({"seeds": [0, True]}, "seeds must be integers, got [0, True]"),
+    (5, "config file must hold one JSON object, not int"),
+], ids=json.dumps)
+def test_refused_config_values_exit_2_without_output(tmp_path, monkeypatch, capsys,
+                                                     config, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["run", "--synthetic", "tree:2,3", "--config", str(cfg), "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert not out_dir.exists() and not (tmp_path / "envout").exists()
+
+
+def test_integer_options_take_whole_numbers_in_either_form(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"epochs": 3.0, "seeds": [1.0]}))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        ["run", "--synthetic", "tree:2,3", "--config", str(cfg), "--dim", "4.0",
+         "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 0, err
+    config = read_report(out_dir)["config"]
+    assert (config["epochs"], config["seeds"], config["dim"]) == (3, [1], 4)
+    assert all(type(config[k]) is int for k in ("epochs", "dim"))

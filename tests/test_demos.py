@@ -71,3 +71,15 @@ def test_precision_cliffs_demo():
     for col, mode in enumerate(modes, start=1):
         first = next(float(r[0]) for r in rows if r[col] == "collapsed")
         assert first > float(thresholds[mode])
+
+
+def test_layer_speed_benchmark_demo():
+    out = run_demo("05_layer_speed_benchmark.py")
+    rows = re.findall(r"^(\S+) +\d+\.\d{3} +\d+\.\d{4}$", out, flags=re.MULTILINE)
+    assert sorted(rows) == ["gcn", "hgcn-agg0", "shgcn"]
+    speedups = re.findall(
+        r"^speedup (\S+) vs shgcn: (-?[\d.]+)x  \(95% CI \[(-?[\d.]+), (-?[\d.]+)\]\)$",
+        out, flags=re.MULTILINE)
+    assert sorted(kind for kind, *_ in speedups) == ["gcn", "hgcn-agg0"]
+    for _, ratio, lo, hi in speedups:
+        assert float(lo) <= float(ratio) <= float(hi)
