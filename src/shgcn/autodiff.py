@@ -38,7 +38,11 @@ Tape holds its Nodes only through weak references.  There is no reference
 cycle, so a tape and its arrays are freed by reference counting as soon as
 the caller drops the tape and every node of it, without waiting for the
 cyclic garbage collector.  Nodes that no live node depends on are freed
-while the forward pass is still running.
+while the forward pass is still running.  ``Tape.backward(root,
+release=True)`` also drops each non-leaf node's gradient buffer as soon as
+its rule has run, since nothing reads it after that: only the variables
+keep gradients, and the allocator can hand the freed memory to the rest of
+the sweep.  The default keeps every buffer, for inspection and tests.
 """
 
 from __future__ import annotations
@@ -204,11 +208,15 @@ class Tape:
         value = data if isinstance(data, Matrix) else Matrix(data, mode)
         return Node(value, self, requires_grad=False)
 
-    def backward(self, root: Node) -> None:
+    def backward(self, root: Node, release: bool = False) -> None:
         """Reverse accumulation from a scalar root.  Each node that the
         root's gradient reaches gets a buffer of its own, created by its
         first contribution; a node it does not reach keeps None, except
-        that variables get zeros.  Constants keep None."""
+        that variables get zeros.  Constants keep None.  With `release`, a
+        non-leaf node's buffer is dropped once its rule has run, so only
+        the variables hold gradients afterwards; training sweeps this way.
+        `release=False` keeps every buffer and exists for inspection and
+        for tests that use it as the reference sweep."""
         if root.tape is not self:
             raise ShapeError("root node belongs to a different tape")
         if root.value.shape != (1, 1):
@@ -223,6 +231,8 @@ class Tape:
         for node in reversed(nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+                if release:
+                    node.grad = None
         for node in nodes:
             if node.grad is None and node._backward is None:  # an unreached variable
                 node.grad = np.zeros(node.value.shape, dtype=np.float64)

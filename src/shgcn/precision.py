@@ -29,15 +29,6 @@ class Precision(enum.Enum):
         """Machine epsilon: 2**-10, 2**-23, 2**-52."""
         return _EPSILONS[self]
 
-    @classmethod
-    def parse(cls, name: str) -> "Precision":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown precision {name!r}; expected one of half/single/double"
-            ) from None
-
 
 _DTYPES = {
     Precision.HALF: np.float16,

@@ -157,9 +157,11 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, *, higher_is_better:
     metric and per-epoch records.  `forward(dropout_rng)` runs the model (and
     head) on a new tape and returns the output and parameter nodes,
     `loss_of(out)` builds the loss on that tape and `val_of(matrix)` scores
-    an evaluation output.  Returns (best params, records, epoch times) with
-    the best params set.  Raises NonFiniteError when the loss or a stepped
-    parameter is not finite."""
+    an evaluation output.  Backward runs with `release=True`: each intermediate gradient buffer is
+    freed once its rule has run, and only the parameter nodes keep theirs.
+    Returns (best params, records, epoch times) with the best params set.
+    Raises NonFiniteError when the loss or a stepped parameter is not
+    finite."""
     modules = [model] if head is None else [model, head]
 
     def params() -> dict:
@@ -201,7 +203,7 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, *, higher_is_better:
                 break
             start += time.perf_counter() - paused
         loss = loss_of(out)
-        out.tape.backward(loss)
+        out.tape.backward(loss, release=True)
         stepped = adam_step(opt, params(), _grads_of(nodes))
         _check_finite(len(times), loss.item(), stepped)
         set_params(stepped)
@@ -397,21 +399,25 @@ def benchmark_models(kinds, graph: Graph, split: EdgeSplit, seed: int = 0,
                      lr: float = 0.01) -> list[BenchResult]:
     """Identical graph/split/seed across model kinds; per-epoch wall time is
     measured around forward+backward+step only and the first WARMUP_EPOCHS
-    epochs of each run are discarded.  Runs are sequential on purpose to
-    keep timings comparable."""
+    epochs of each run are discarded.  Runs go one at a time, interleaved
+    across kinds in the order A B, B A, A B, ... so that a drift in the
+    machine's speed falls on every kind alike rather than on whichever
+    kind ran last."""
     check_bench_size(epochs, runs)
-    results = []
-    for kind in kinds:
-        base = config_base or ModelConfig()
-        config = dataclasses.replace(base, layer_kind=kind)
-        chunks = []
-        for run in range(runs):
+    base = config_base or ModelConfig()
+    configs = [dataclasses.replace(base, layer_kind=kind) for kind in kinds]
+    chunks = [[] for _ in kinds]
+    for run in range(runs):
+        order = range(len(kinds)) if run % 2 == 0 else reversed(range(len(kinds)))
+        for i in order:
             res = train_link_prediction(
-                config, graph, split, seed=seed + run, epochs=epochs,
+                configs[i], graph, split, seed=seed + run, epochs=epochs,
                 patience=epochs + 1, lr=lr, decoder=decoder,
             )
-            chunks.append(res.epoch_times[WARMUP_EPOCHS:])
-        times = np.concatenate(chunks)
+            chunks[i].append(res.epoch_times[WARMUP_EPOCHS:])
+    results = []
+    for kind, kind_chunks in zip(kinds, chunks):
+        times = np.concatenate(kind_chunks)
         mean = float(times.mean())
         se = float(times.std(ddof=1) / np.sqrt(len(times)))
         results.append(BenchResult(kind, times, mean, se))

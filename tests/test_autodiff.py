@@ -502,3 +502,107 @@ def test_matrix_overflow_flag_matches_the_full_scan(mode, big, case):
     m = Matrix(raw, mode)
     assert m.overflow == saturates(np.array(raw), mode)
     assert m.overflow == (case in ("saturating", "nan-and-saturating"))
+
+
+# ---------------------------------------------------------------------------
+# released sweeps
+# ---------------------------------------------------------------------------
+
+
+def _model_losses():
+    """Training losses of every layer kind and head, each built by
+    `build(tape)` -> (loss, {name: parameter node}) on a small tree."""
+    from shgcn.graphs import normalized_adjacency, tree_graph
+    from shgcn.layers import (ClassificationHead, GraphModel, ModelConfig, RegressionHead,
+                              fermi_dirac_edge_scores)
+    from shgcn.training import gr_loss, lp_loss, nc_loss
+
+    graph = tree_graph(2, 3)
+    adj = normalized_adjacency(graph)
+    neg = np.array([[0, 5], [1, 9], [3, 12], [7, 14]])
+    groups = np.arange(graph.n) % 3
+
+    def lp(kind, dropout=0.0):
+        model = GraphModel(ModelConfig(layer_kind=kind, hidden_dim=4, dropout=dropout),
+                           graph.features.shape[1], seed=0)
+
+        def build(tape):
+            rng = np.random.default_rng(5)  # the same mask on every build
+            z, nodes = model.forward(tape, adj, graph.features, Precision.DOUBLE, rng)
+            pos_s = fermi_dirac_edge_scores(z, graph.edges)
+            return lp_loss(pos_s, fermi_dirac_edge_scores(z, neg)), nodes
+        return build
+
+    def with_head(head, loss_of):
+        model = GraphModel(ModelConfig(hidden_dim=4), graph.features.shape[1], seed=0)
+
+        def build(tape):
+            z, nodes = model.forward(tape, adj, graph.features)
+            out, head_nodes = head(tape, z)
+            return loss_of(out), {**nodes, **head_nodes}
+        return build
+
+    nc = ClassificationHead(4, int(graph.labels.max()) + 1, seed=1)
+    gr = RegressionHead(4, 4, seed=1)
+    return {
+        "lp-shgcn": lp("shgcn"),
+        "lp-shgcn-dropout": lp("shgcn", dropout=0.3),
+        "lp-hgcn-agg0": lp("hgcn-agg0"),
+        "lp-gcn": lp("gcn"),
+        "nc": with_head(lambda t, z: nc.forward(t, z),
+                        lambda out: nc_loss(ad.gather_rows(out, [0, 2, 4, 6]),
+                                            graph.labels[[0, 2, 4, 6]])),
+        "gr": with_head(lambda t, z: gr.forward(t, z, groups),
+                        lambda out: gr_loss(out, [0.5, -1.0, 2.0])),
+    }
+
+
+MODEL_LOSSES = _model_losses()
+
+
+def _tape_nodes(tape):
+    return [node for node in (ref() for ref in tape._nodes) if node is not None]
+
+
+@pytest.mark.parametrize("case", list(MODEL_LOSSES))
+def test_released_sweep_gives_every_variable_the_same_gradient(case):
+    build = MODEL_LOSSES[case]
+    kept_tape, released_tape = Tape(), Tape()
+    kept_loss, kept = build(kept_tape)
+    released_loss, released = build(released_tape)
+    kept_tape.backward(kept_loss)
+    released_tape.backward(released_loss, release=True)
+    assert list(released) == list(kept)
+    for name in kept:
+        assert np.array_equal(released[name].grad, kept[name].grad), name
+    nodes = _tape_nodes(released_tape)
+    inner = [node for node in nodes if node._backward is not None]
+    assert released_loss in inner and len(inner) > len(released)
+    assert all(node.grad is None for node in inner)
+    leaves = [node for node in nodes if node._backward is None]
+    assert {id(node) for node in leaves} == {id(node) for node in released.values()}
+    assert all(node.grad is not None for node in leaves)
+    # the kept sweep still shows every buffer it made
+    assert kept_loss.grad is not None
+    assert sum(node.grad is not None for node in _tape_nodes(kept_tape)) > len(kept)
+
+
+def test_released_sweep_zeroes_unreached_variables_and_leaves_constants_alone():
+    tape = Tape()
+    x = tape.variable(X_SMALL)
+    unused = tape.variable(np.ones((2, 2)))
+    k = tape.constant(W_42)
+    h = ad.tanh(x @ k)
+    loss = ad.sum_all(h)
+    tape.backward(loss, release=True)
+    assert np.array_equal(x.grad, (1.0 - np.tanh(X_SMALL @ W_42) ** 2) @ W_42.T)
+    assert np.array_equal(unused.grad, np.zeros((2, 2)))
+    assert k.grad is None
+    assert h.grad is None and loss.grad is None
+
+
+def test_released_sweep_keeps_a_variable_root():
+    tape = Tape()
+    x = tape.variable([[2.0]])
+    tape.backward(x, release=True)
+    assert np.array_equal(x.grad, [[1.0]])

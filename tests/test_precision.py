@@ -50,9 +50,3 @@ def test_nan_passes_through():
 def test_double_mode_is_identity():
     x = np.array([1.2345678901234567e-100, 3.14])
     assert np.array_equal(round_array(x, DOUBLE), x)
-
-
-def test_parse():
-    assert Precision.parse("half") is HALF
-    with pytest.raises(ValueError):
-        Precision.parse("float128")

@@ -33,6 +33,7 @@ from shgcn.metrics import classification_metrics, mean_absolute_error, roc_auc
 from shgcn.precision import Precision
 from shgcn.training import (
     EpochRecord,
+    WARMUP_EPOCHS,
     TrainResult,
     _disjoint_union,
     _grads_of,
@@ -566,17 +567,64 @@ def test_forwards_per_call(small_tree_setup, monkeypatch, dropout, forwards):
     assert len(calls) == forwards
 
 
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("task", ["lp", "nc", "gr"])
+@pytest.mark.parametrize("kind", ["shgcn", "hgcn-agg0", "gcn"])
+def test_released_backward_keeps_trajectories_bit_identical(small_tree_setup, monkeypatch,
+                                                            kind, task, dropout):
+    graph, split = small_tree_setup
+    config = ModelConfig(layer_kind=kind, num_layers=2, hidden_dim=6, dropout=dropout)
+    kw = dict(seed=1, epochs=6, patience=3, lr=0.02)
+
+    def train():
+        if task == "gr":
+            return train_graph_regression(config, regression_family(), **kw)
+        if task == "nc":
+            return train_node_classification(config, graph, **kw)
+        return train_link_prediction(config, graph, split, **kw)
+
+    original, releases = Tape.backward, []
+
+    def recording(self, root, release=False):
+        releases.append(release)
+        return original(self, root, release)
+
+    monkeypatch.setattr(Tape, "backward", recording)
+    shipped = train()
+    assert releases and all(releases)
+    monkeypatch.setattr(Tape, "backward", lambda self, root, release=False: original(self, root))
+    assert_same_trajectory(shipped, train())
+
+
 # ---------------------------------------------------------------------------
 # benchmark harness
 # ---------------------------------------------------------------------------
 
 
 def test_benchmark_self_comparison_near_unity(small_tree_setup):
+    # 32 interleaved 12-epoch runs a side, 224 timed epochs each, about 1 s.
     graph, split = small_tree_setup
     results = benchmark_models(["gcn", "gcn"], graph, split, seed=0, epochs=12,
-                               runs=2, config_base=ModelConfig(num_layers=1, hidden_dim=4))
+                               runs=32, config_base=ModelConfig(num_layers=1, hidden_dim=4))
     ratio, lo, hi = speedup_with_ci(results[0], results[1])
     assert abs(ratio - 1.0) < 0.10
+
+
+def test_benchmark_interleaves_runs_across_kinds(small_tree_setup, monkeypatch):
+    graph, split = small_tree_setup
+    calls = []
+
+    def fake(config, graph, split, *, seed, epochs, **kw):
+        calls.append((config.layer_kind, seed))
+        return TrainResult({}, [], {}, np.full(epochs, float(len(calls))))
+
+    monkeypatch.setattr(training, "train_link_prediction", fake)
+    results = benchmark_models(["gcn", "shgcn"], graph, split, seed=7, epochs=6, runs=3)
+    assert calls == [("gcn", 7), ("shgcn", 7), ("shgcn", 8), ("gcn", 8),
+                     ("gcn", 9), ("shgcn", 9)]
+    assert [r.kind for r in results] == ["gcn", "shgcn"]
+    assert np.array_equal(results[0].times, np.repeat([1.0, 4.0, 5.0], 6 - WARMUP_EPOCHS))
+    assert np.array_equal(results[1].times, np.repeat([2.0, 3.0, 6.0], 6 - WARMUP_EPOCHS))
 
 
 def test_benchmark_needs_enough_epochs(small_tree_setup):
