@@ -549,34 +549,68 @@ def cross_entropy(logits: Node, labels) -> Node:
 
 
 def median_pool(a: Node, groups) -> Node:
-    """Per-group, per-column median; even-sized groups average the two
-    central values.  Gradient routes to the selected element(s)."""
+    """Per-group, per-column median, one result row per group id in
+    ascending order; an even-sized group averages its two central values,
+    as np.median does.  The gradient goes to the row(s) holding the
+    central value(s), with weight 1 or 1/2.
+
+    - Ties: the central slots are those of a stable sort of the group's
+      rows, so among equal values (+0.0 and -0.0 included) the row that
+      comes first in `a` is ranked first.
+    - NaN: a group column holding a NaN gives NaN, as np.median does; its
+      gradient still follows the stable sort, which ranks NaN last.
+    - Memory: the groups are laid out as one NaN-padded (d, G, max_count)
+      block, G·max_count·d floats, which is n·d when every group has the
+      same size.
+
+    The block is sorted once, and each central value's source row is the
+    slot that holds it.  Only lanes where that slot is not unique (ties,
+    NaN) are sorted again, stably."""
     groups = np.asarray(groups, dtype=np.intp)
     n, d = a.shape
     if groups.shape != (n,):
         raise ShapeError("group assignment must give one id per row")
-    ids = np.unique(groups)
-    out = np.empty((len(ids), d))
-    routes = []  # (out_row, source_rows, weight)
-    for gi, gid in enumerate(ids):
-        rows = np.flatnonzero(groups == gid)
-        if rows.size == 0:
-            raise ValueError(f"empty group {gid}")
-        block = a.data[rows]
-        out[gi] = np.median(block, axis=0)
-        order = np.argsort(block, axis=0, kind="stable")
-        m = rows.size
-        if m % 2 == 1:
-            routes.append((gi, rows[order[m // 2]], 1.0))
-        else:
-            routes.append((gi, rows[order[m // 2 - 1]], 0.5))
-            routes.append((gi, rows[order[m // 2]], 0.5))
-    cols = np.arange(d)
+    _, counts = np.unique(groups, return_counts=True)
+    # at least one slot, so that no rows give an empty result
+    real = np.arange(max(counts.max(initial=0), 1)) < counts[:, None]
+    table = np.full(real.shape, n)  # (G, max_count) source rows; n is the pad row
+    table[real] = np.argsort(groups, kind="stable")
+    padded = np.empty((d, n + 1))
+    padded[:, :n] = a.data.T
+    padded[:, n] = np.nan
+    block = padded[:, table]  # (d, G, max_count): one lane per column and group
+    ranked = np.sort(block, axis=-1)  # NaN last, pads included
+    lane = np.arange(len(counts))
+    has_nan = np.isnan(ranked[:, lane, counts - 1])
+    central = ((counts - 1) // 2, counts // 2)
+    values, slots, unsure = [], [], has_nan
+    for rank in central:
+        value = ranked[:, lane, rank]
+        hits = block == value[..., None]
+        values.append(value)
+        slots.append(hits.argmax(axis=-1))
+        unsure = unsure | (np.count_nonzero(hits, axis=-1) != 1)
+    col, grp = np.nonzero(unsure)
+    if col.size:
+        stable = np.argsort(block[col, grp], axis=-1, kind="stable")
+        for rank, slot in zip(central, slots):
+            slot[col, grp] = stable[np.arange(col.size), rank[grp]]
+    even = np.broadcast_to(counts % 2 == 0, unsure.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # + 0.0 makes a -0.0 median +0.0, as np.median's sum does
+        out = np.where(even, (values[0] + values[1]) / 2, values[0]) + 0.0
+    out = np.ascontiguousarray(np.where(has_nan, np.nan, out).T)
+    # routes: the lower central row of every lane, the upper of even ones;
+    # their (row, column) targets are distinct
+    lo, hi = (table[lane, slot] for slot in slots)
+    cols, grps = np.indices(unsure.shape)
+    src = np.concatenate([lo.ravel(), hi[even]])
+    cols = np.concatenate([cols.ravel(), cols[even]])
+    grps = np.concatenate([grps.ravel(), grps[even]])
+    weight = np.where(np.concatenate([even.ravel(), even[even]]), 0.5, 1.0)
 
     def rule(g):
-        grad = _buffer(a)
-        for gi, src, w in routes:
-            grad[src, cols] += w * g[gi]
+        _buffer(a)[src, cols] += weight * g[grps, cols]
 
     return _record(out, (a,), rule)
 

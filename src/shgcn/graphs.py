@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree, shortest_path
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree, shortest_path
 
 DELTA_NODE_CAP = 600
 DELTA_J_CHUNK = 32  # js per chunk of the delta search
@@ -54,20 +54,27 @@ class Graph:
         return len(self.edges)
 
     def adjacency(self) -> sp.csr_matrix:
-        if not len(self.edges):
-            return sp.csr_matrix((self.n, self.n))
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        data = np.ones(2 * len(self.edges))
-        return sp.csr_matrix(
-            (data, (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(self.n, self.n),
-        )
+        return _adjacency(self.n, self.edges)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        order = breadth_first_order(self.adjacency(), 0, return_predecessors=False)
-        return len(order) == self.n
+        return _is_connected(self.adjacency())
+
+
+def _adjacency(n: int, edges: np.ndarray) -> sp.csr_matrix:
+    """Symmetric 0/1 adjacency of an edge list that holds each undirected
+    edge once, with no self-loops."""
+    if not len(edges):
+        return sp.csr_matrix((n, n))
+    i, j = edges[:, 0], edges[:, 1]
+    data = np.ones(2 * len(edges))
+    return sp.csr_matrix(
+        (data, (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    )
+
+
+def _is_connected(adj: sp.csr_matrix) -> bool:
+    return connected_components(adj, directed=False, return_labels=False) <= 1
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
@@ -115,10 +122,12 @@ def sample_negative_edges(g: Graph, count: int, rng: np.random.Generator) -> np.
     chosen = np.zeros(0, dtype=np.int64)
     while len(chosen) < count:
         draw = rng.integers(0, n, size=(max(count * 2, 32), 2))
-        lo, hi = draw.min(axis=1), draw.max(axis=1)
+        lo, hi = np.minimum(draw[:, 0], draw[:, 1]), np.maximum(draw[:, 0], draw[:, 1])
         keys = (lo * n + hi)[lo != hi]
-        keys = keys[edge_keys[np.searchsorted(edge_keys, keys)] != keys]
-        _, first = np.unique(keys, return_index=True)
+        # look the distinct keys up in sorted order, then put the survivors
+        # back in the order of their first draw
+        distinct, first = np.unique(keys, return_index=True)
+        first = first[edge_keys[np.searchsorted(edge_keys, distinct)] != distinct]
         keys = keys[np.sort(first)]
         keys = keys[~np.isin(keys, chosen)]
         chosen = np.concatenate([chosen, keys[: count - len(chosen)]])
@@ -308,24 +317,24 @@ FEATURE_LANDMARKS = 16
 FEATURE_TEMPERATURE = 3.0
 
 
-def _landmark_features(n: int, edges: np.ndarray, k: int = FEATURE_LANDMARKS) -> np.ndarray:
-    """Smoothed BFS profiles against k spread-out landmark nodes.
+def _landmark_features(adj: sp.csr_matrix, k: int = FEATURE_LANDMARKS) -> np.ndarray:
+    """Smoothed BFS profiles against k spread-out landmark nodes, from the
+    symmetric adjacency `adj` that the caller built.
 
     Node features must carry positional signal for link prediction to be
     learnable on held-out edges (removing any tree edge disconnects its
     endpoints, so the structure alone says nothing about them).
     """
-    g = Graph(n, edges, np.zeros((n, 1)))
+    n = adj.shape[0]
     k = min(k, n)
     landmarks = np.unique(np.linspace(0, n - 1, k).astype(np.int64))
-    if g.is_connected():
+    if _is_connected(adj):
         # every distance is finite, so BFS from the landmarks alone suffices
-        profiles = shortest_path(g.adjacency(), method="D", unweighted=True,
-                                 indices=landmarks).T
+        profiles = shortest_path(adj, method="D", unweighted=True, indices=landmarks).T
     else:
         # an unreachable pair sits one step beyond the largest finite
         # distance anywhere in the graph, which needs every pair
-        dist = shortest_path(g.adjacency(), method="D", unweighted=True)
+        dist = shortest_path(adj, method="D", unweighted=True)
         finite = np.where(np.isfinite(dist), dist, dist[np.isfinite(dist)].max() + 1.0)
         profiles = finite[:, landmarks]
     return np.exp(-profiles / FEATURE_TEMPERATURE)
@@ -341,7 +350,7 @@ def tree_graph(branching: int, depth: int) -> Graph:
     child = np.arange(1, n, dtype=np.int64)
     edges = np.column_stack([(child - 1) // branching, child])
     labels = np.repeat(np.arange(depth + 1), level_sizes)
-    return Graph(n, edges, _landmark_features(n, edges), labels)
+    return Graph(n, edges, _landmark_features(_adjacency(n, edges)), labels)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -349,7 +358,7 @@ def cycle_graph(n: int) -> Graph:
         raise ValueError("cycle needs at least 3 nodes")
     edges = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
     labels = np.arange(n) % 2
-    return Graph(n, edges, _landmark_features(n, edges), labels)
+    return Graph(n, edges, _landmark_features(_adjacency(n, edges)), labels)
 
 
 def erdos_graph(n: int, p: float, seed: int = 0) -> Graph:
@@ -360,10 +369,10 @@ def erdos_graph(n: int, p: float, seed: int = 0) -> Graph:
     mask = rng.random(len(iu[0])) < p
     edges = np.column_stack([iu[0][mask], iu[1][mask]])
     if len(edges):
-        adj = Graph(n, edges, np.zeros((n, 1))).adjacency()
+        adj = _adjacency(n, edges)
         degrees = np.asarray(adj.sum(axis=1)).reshape(-1)
         labels = (degrees > np.median(degrees)).astype(np.int64)
-        feats = _landmark_features(n, edges)
+        feats = _landmark_features(adj)
     else:
         labels = np.zeros(n, dtype=np.int64)
         feats = np.zeros((n, min(FEATURE_LANDMARKS, n)))
@@ -378,7 +387,7 @@ def random_tree(n: int, seed: int = 0) -> Graph:
         return Graph(1, np.zeros((0, 2), dtype=np.int64), np.ones((1, 1)))
     if n == 2:
         edges = np.array([[0, 1]])
-        return Graph(2, edges, _landmark_features(2, edges))
+        return Graph(2, edges, _landmark_features(_adjacency(2, edges)))
     rng = np.random.default_rng(seed)
     prufer = rng.integers(0, n, size=n - 2)
     degree = np.ones(n, dtype=np.int64)
@@ -397,7 +406,7 @@ def random_tree(n: int, seed: int = 0) -> Graph:
     v = heapq.heappop(leaves)
     edges.append((u, v))
     edges = np.asarray(edges, dtype=np.int64)
-    return Graph(n, edges, _landmark_features(n, edges))
+    return Graph(n, edges, _landmark_features(_adjacency(n, edges)))
 
 
 def parse_synthetic(spec: str) -> Graph:
@@ -467,5 +476,6 @@ def load_graph(edges_path: str, features_path: str | None = None,
         labels = _read_ids(labels_path).reshape(-1)
         n = max(n, labels.shape[0])
     if features is None:
-        features = _landmark_features(n, edges)
+        # Graph checks and deduplicates the raw edge list first
+        features = _landmark_features(Graph(n, edges, np.zeros((n, 1))).adjacency())
     return Graph(n, edges, features, labels)

@@ -330,6 +330,130 @@ def test_median_pool_robust_to_outlier():
     assert ad.median_pool(x, [0, 0, 0]).data[0, 0] == 2.0
 
 
+def reference_median_pool(x: np.ndarray, groups, g: np.ndarray):
+    """The median pool as a loop over groups: np.median per group, and the
+    gradient `g` routed through a stable argsort of each group's rows.
+    Returns the pooled values and the gradient with respect to `x`."""
+    groups = np.asarray(groups, dtype=np.intp)
+    ids = np.unique(groups)
+    out = np.empty((len(ids), x.shape[1]))
+    grad = np.zeros_like(x)
+    cols = np.arange(x.shape[1])
+    for gi, gid in enumerate(ids):
+        rows = np.flatnonzero(groups == gid)
+        block = x[rows]
+        with np.errstate(invalid="ignore"):
+            out[gi] = np.median(block, axis=0)
+        order = np.argsort(block, axis=0, kind="stable")
+        m = rows.size
+        if m % 2 == 1:
+            grad[rows[order[m // 2]], cols] += 1.0 * g[gi]
+        else:
+            grad[rows[order[m // 2 - 1]], cols] += 0.5 * g[gi]
+            grad[rows[order[m // 2]], cols] += 0.5 * g[gi]
+    return out, grad
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _check_median_pool(x, groups, seed=0):
+    n_groups = len(np.unique(groups))
+    g = np.random.default_rng(seed).normal(size=(n_groups, x.shape[1]))
+    tape = Tape()
+    xv = tape.variable(x)
+    out = ad.median_pool(xv, groups)
+    with np.errstate(invalid="ignore"):  # the loss may add +inf to -inf
+        loss = ad.sum_all(out * tape.constant(g))
+    tape.backward(loss)
+    want_out, want_grad = reference_median_pool(x, groups, g)
+    assert _same_bits(out.data, want_out)
+    assert _same_bits(xv.grad, want_grad)
+
+
+def _median_pool_data(kind, rng, n, d):
+    if kind == "normal":
+        return rng.normal(size=(n, d))
+    if kind == "rounded":  # heavy ties, including -0.0 from rounding
+        return np.round(rng.normal(size=(n, d)))
+    if kind == "signed-zeros":
+        return rng.choice([0.0, -0.0, 1.0], size=(n, d))
+    if kind == "nan-inf":
+        return rng.choice([np.nan, np.inf, -np.inf, 1.0, -0.0], size=(n, d))
+    if kind == "sparse-nan":
+        x = np.round(rng.normal(size=(n, d)) * 2) / 2
+        x[rng.random((n, d)) < 0.05] = np.nan
+        return x
+    return rng.choice([np.inf, -np.inf, 2.0], size=(n, d))
+
+
+MEDIAN_KINDS = ["normal", "rounded", "signed-zeros", "nan-inf", "sparse-nan", "infinities"]
+
+
+@pytest.mark.parametrize("kind", MEDIAN_KINDS)
+def test_median_pool_matches_reference_on_random_groups(kind):
+    rng = np.random.default_rng(MEDIAN_KINDS.index(kind))
+    for trial in range(40):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        groups = rng.integers(-3, 3 * int(rng.integers(1, 8)), size=n)  # unsorted, gaps
+        _check_median_pool(_median_pool_data(kind, rng, n, d), groups, seed=trial)
+
+
+@pytest.mark.parametrize("kind", MEDIAN_KINDS)
+def test_median_pool_matches_reference_on_fixed_sizes(kind):
+    # one-row, odd and even groups side by side, ids given out of order
+    rng = np.random.default_rng(10 + MEDIAN_KINDS.index(kind))
+    sizes = {7: 1, 2: 2, 9: 3, 0: 4, 5: 5, 4: 8, 1: 9}
+    groups = rng.permutation(np.repeat(list(sizes), list(sizes.values())))
+    for trial in range(10):
+        _check_median_pool(_median_pool_data(kind, rng, len(groups), 3), groups, seed=trial)
+
+
+def test_median_pool_matches_reference_on_equal_groups_in_single():
+    # the shape graph regression pools: equal-size groups of binary32 values
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(600, 16)).astype(np.float32).astype(np.float64)
+    _check_median_pool(x, np.repeat(np.arange(10), 60))
+
+
+def test_median_pool_ties_route_in_row_order():
+    tape = Tape()
+    x = tape.variable([[5.0], [1.0], [1.0], [1.0], [0.0]])
+    out = ad.median_pool(x, [0, 0, 0, 0, 0])
+    tape.backward(ad.sum_all(out))
+    assert out.data[0, 0] == 1.0
+    # sorted: 0.0 (row 4), then the 1.0s in row order 1, 2, 3; rank 2 is row 2
+    assert np.array_equal(x.grad[:, 0], [0.0, 0.0, 1.0, 0.0, 0.0])
+
+
+def test_median_pool_nan_column_gives_nan_and_routes_nan_last():
+    tape = Tape()
+    x = tape.variable([[np.nan, 1.0], [3.0, 2.0], [1.0, 3.0]])
+    out = ad.median_pool(x, [0, 0, 0])
+    tape.backward(ad.sum_all(out))
+    assert np.isnan(out.data[0, 0]) and out.data[0, 1] == 2.0
+    assert np.array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+
+
+def test_median_pool_pads_never_win():
+    # the uneven group of one is padded to three slots; its median is itself
+    tape = Tape()
+    x = tape.variable([[np.inf], [-1.0], [-2.0], [-3.0]])
+    out = ad.median_pool(x, [1, 0, 0, 0])
+    tape.backward(ad.sum_all(out))
+    assert np.array_equal(out.data[:, 0], [-2.0, np.inf])
+    assert np.array_equal(x.grad[:, 0], [1.0, 0.0, 1.0, 0.0])
+
+
+def test_median_pool_empty_input_gives_empty_result():
+    tape = Tape()
+    x = tape.variable(np.zeros((0, 3)))
+    out = ad.median_pool(x, np.zeros(0, dtype=int))
+    tape.backward(ad.sum_all(out))
+    assert out.shape == (0, 3) and x.grad.shape == (0, 3)
+
+
 def test_gradients_stay_double_in_single_mode():
     # forward rounds to binary32; gradient buffers remain float64
     tape = Tape()

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from shgcn.graphs import (
     FEATURE_LANDMARKS,
@@ -262,6 +262,57 @@ def test_negative_sampler_matches_reference_loop(g):
                 assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def unsorted_lookup_negative_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The vectorised sampler as it was before its edge lookup moved to the
+    sorted distinct keys: every draw is looked up, in draw order."""
+    if count == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    n = g.n
+    if n * (n - 1) // 2 - g.num_edges < count:
+        raise ValueError("graph too dense to sample that many negatives")
+    edge_keys = np.append(g.edges[:, 0] * n + g.edges[:, 1], n * n)
+    chosen = np.zeros(0, dtype=np.int64)
+    while len(chosen) < count:
+        draw = rng.integers(0, n, size=(max(count * 2, 32), 2))
+        lo, hi = draw.min(axis=1), draw.max(axis=1)
+        keys = (lo * n + hi)[lo != hi]
+        keys = keys[edge_keys[np.searchsorted(edge_keys, keys)] != keys]
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+        keys = keys[~np.isin(keys, chosen)]
+        chosen = np.concatenate([chosen, keys[: count - len(chosen)]])
+    return np.column_stack([chosen // n, chosen % n])
+
+
+@pytest.mark.parametrize("g", [
+    tree_graph(3, 4),
+    cycle_graph(40),
+    erdos_graph(40, 0.2, seed=1),
+    erdos_graph(40, 0.03, seed=0),
+    _near_complete(14),
+], ids=["tree", "cycle", "erdos-connected", "erdos-disconnected", "near-complete"])
+def test_negative_sampler_matches_unsorted_lookup_sampler(g):
+    non_edges = g.n * (g.n - 1) // 2 - g.num_edges
+    for seed in range(3):
+        for count in (1, 5, non_edges):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):  # consecutive calls share one generator
+                got = sample_negative_edges(g, count, fast)
+                want = unsorted_lookup_negative_edges(g, count, slow)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, count)
+                assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_negative_sampler_dense_graph_draws_several_blocks():
+    g = _near_complete(14)
+    count = g.n * (g.n - 1) // 2 - g.num_edges
+    rng, one_block = np.random.default_rng(0), np.random.default_rng(0)
+    got = sample_negative_edges(g, count, rng)
+    one_block.integers(0, g.n, size=(max(2 * count, 32), 2))
+    assert rng.bit_generator.state != one_block.bit_generator.state
+    assert np.array_equal(got, reference_negative_edges(g, count, np.random.default_rng(0)))
+
+
 # ---------------------------------------------------------------------------
 # delta-hyperbolicity
 # ---------------------------------------------------------------------------
@@ -503,7 +554,7 @@ def test_tree_matches_level_by_level_reference(b, d):
     assert g.n == len(labels) and g.edges.shape == edges.shape
     assert np.array_equal(g.edges, edges) and g.edges.dtype == edges.dtype
     assert np.array_equal(g.labels, labels)
-    assert np.array_equal(g.features, _landmark_features(g.n, edges))
+    assert np.array_equal(g.features, reference_landmark_features(g.n, edges))
 
 
 def test_cycle_basic():
@@ -534,8 +585,40 @@ def reference_landmark_features(n: int, edges) -> np.ndarray:
 ], ids=["tree", "cycle", "edge", "disconnected-erdos"])
 def test_landmark_features_match_all_pairs_reference(g, connected):
     assert g.is_connected() == connected
-    got = _landmark_features(g.n, g.edges)
+    got = _landmark_features(g.adjacency())
     assert np.array_equal(got, reference_landmark_features(g.n, g.edges))
+
+
+def bfs_is_connected(g: Graph) -> bool:
+    """Connectivity by a breadth-first search from node 0."""
+    if g.n <= 1:
+        return True
+    return len(breadth_first_order(g.adjacency(), 0, return_predecessors=False)) == g.n
+
+
+ERDOS = [erdos_graph(60, 0.1, seed=s) for s in range(8)]  # seed 5 is disconnected
+ERDOS += [erdos_graph(40, 0.03, seed=0), erdos_graph(12, 1.0, seed=2)]
+
+
+@pytest.mark.parametrize("g", [
+    tree_graph(3, 4), cycle_graph(3), cycle_graph(31), random_tree(2), random_tree(57, seed=4),
+    *ERDOS,
+], ids=lambda g: f"n{g.n}-m{g.num_edges}")
+def test_generated_features_match_references(g):
+    assert g.is_connected() == bfs_is_connected(g)
+    assert np.array_equal(g.features, reference_landmark_features(g.n, g.edges))
+
+
+@pytest.mark.parametrize("g", ERDOS, ids=lambda g: f"n{g.n}-m{g.num_edges}")
+def test_erdos_labels_split_degrees_at_the_median(g):
+    degrees = np.asarray(g.adjacency().sum(axis=1)).reshape(-1)
+    assert np.array_equal(g.labels, (degrees > np.median(degrees)).astype(np.int64))
+
+
+def test_edgeless_erdos_has_zero_features_and_labels():
+    g = erdos_graph(5, 0.0)
+    assert g.num_edges == 0 and not g.is_connected() and bfs_is_connected(g) is False
+    assert np.array_equal(g.features, np.zeros((5, 5))) and np.array_equal(g.labels, np.zeros(5))
 
 
 def test_random_tree_is_tree():
