@@ -289,8 +289,6 @@ def mobius_matvec(M, x: PoincarePoint, mode: Precision = Precision.DOUBLE) -> Po
     if M.shape[1] != x.dim:
         raise ShapeError(f"matrix columns {M.shape[1]} != point dimension {x.dim}")
     u = round_array(M @ log0_array(x.coords, x.c, mode), mode)
-    if not np.any(u):
-        return PoincarePoint(np.zeros(M.shape[0]), x.c)
     return PoincarePoint(exp0_array(u, x.c, mode), x.c)
 
 

@@ -20,7 +20,11 @@ DELTA_K_BLOCK = 16  # ks per block of the delta search
 class Graph:
     """Immutable undirected graph: deduplicated edge list without
     self-loops, node features, optional node labels, optional scalar
-    target for graph-level regression."""
+    target for graph-level regression.
+
+    Every endpoint, self-loops included, must lie in [0, n).  Edges are rows
+    (lo, hi), lo < hi, sorted by the int64 key lo * n + hi (so n * n < 2**63),
+    which sample_negative_edges relies on."""
 
     n: int
     edges: np.ndarray  # (m, 2) int, each row i < j
@@ -29,16 +33,13 @@ class Graph:
     graph_target: float | None = None
 
     def __post_init__(self):
+        n = self.n
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            edges = np.unique(np.column_stack([lo, hi]), axis=0)
-            if np.any(edges[:, 0] == edges[:, 1]):
-                edges = edges[edges[:, 0] != edges[:, 1]]
-            if edges.size and (edges.min() < 0 or edges.max() >= self.n):
-                raise ValueError("edge endpoint out of range")
-        object.__setattr__(self, "edges", edges)
+        if np.any((edges < 0) | (edges >= n)):
+            raise ValueError("edge endpoint out of range")
+        lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+        keys = np.unique((lo * n + hi)[lo != hi])
+        object.__setattr__(self, "edges", np.column_stack([keys // n, keys % n]))
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.n:
             raise ValueError(f"features must be (n, d), got {feats.shape}")
@@ -115,9 +116,9 @@ def sample_negative_edges(g: Graph, count: int, rng: np.random.Generator) -> np.
     max_pairs = n * (n - 1) // 2
     if max_pairs - g.num_edges < count:
         raise ValueError("graph too dense to sample that many negatives")
-    # pair (lo, hi) has key lo * n + hi.  Graph keeps its edges sorted by
-    # (lo, hi), so the edge keys are sorted too; the sentinel n * n exceeds
-    # every key, so a lookup never runs past the end.
+    # pair (lo, hi) has key lo * n + hi, and Graph keeps its edges sorted by
+    # that key; the sentinel n * n exceeds every key, so a lookup never
+    # runs past the end.
     edge_keys = np.append(g.edges[:, 0] * n + g.edges[:, 1], n * n)
     chosen = np.zeros(0, dtype=np.int64)
     while len(chosen) < count:
@@ -317,17 +318,17 @@ FEATURE_LANDMARKS = 16
 FEATURE_TEMPERATURE = 3.0
 
 
-def _landmark_features(adj: sp.csr_matrix, k: int = FEATURE_LANDMARKS) -> np.ndarray:
-    """Smoothed BFS profiles against k spread-out landmark nodes, from the
-    symmetric adjacency `adj` that the caller built.
+def _landmark_features(adj: sp.csr_matrix) -> np.ndarray:
+    """Smoothed BFS profiles against FEATURE_LANDMARKS spread-out landmark
+    nodes (or every node, if fewer), from the symmetric adjacency `adj`
+    that the caller built.
 
     Node features must carry positional signal for link prediction to be
     learnable on held-out edges (removing any tree edge disconnects its
     endpoints, so the structure alone says nothing about them).
     """
     n = adj.shape[0]
-    k = min(k, n)
-    landmarks = np.unique(np.linspace(0, n - 1, k).astype(np.int64))
+    landmarks = np.unique(np.linspace(0, n - 1, min(FEATURE_LANDMARKS, n)).astype(np.int64))
     if _is_connected(adj):
         # every distance is finite, so BFS from the landmarks alone suffices
         profiles = shortest_path(adj, method="D", unweighted=True, indices=landmarks).T
@@ -385,9 +386,6 @@ def random_tree(n: int, seed: int = 0) -> Graph:
         raise ValueError("need n >= 1")
     if n == 1:
         return Graph(1, np.zeros((0, 2), dtype=np.int64), np.ones((1, 1)))
-    if n == 2:
-        edges = np.array([[0, 1]])
-        return Graph(2, edges, _landmark_features(_adjacency(2, edges)))
     rng = np.random.default_rng(seed)
     prufer = rng.integers(0, n, size=n - 2)
     degree = np.ones(n, dtype=np.int64)

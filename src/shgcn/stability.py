@@ -109,10 +109,11 @@ def collapse_threshold(mode: Precision, direction=None) -> float:
     rotated directions the component rounding makes failures flicker near
     the onset, so the search walks a coarse grid to bracket the first
     failure and then refines at the stated resolution, which keeps the
-    reported value the smallest failing norm either way.  After SEARCH_LO
-    alone, the coarse grid is scored BLOCK points per batched call of
-    exp0_array and log0_array, up to the first block with a failure; the
-    fine grid (at most 51 points) is one call.  Every row gets a one-vector
+    reported value the smallest failing norm either way.  The coarse grid
+    starts at SEARCH_LO, so a failure there refines back to it.  It is
+    scored BLOCK points per batched call of exp0_array and log0_array, up
+    to the first block with a failure; the fine grid (at most 51 points)
+    is one call.  Every row gets a one-vector
     call's arithmetic bit for bit -- libm's tanh and atanh per row (numpy's
     differ in the last ulp on about one argument in six) and norms as
     stacked dot products (geometry.row_norms) -- so the result equals a
@@ -129,8 +130,6 @@ def collapse_threshold(mode: Precision, direction=None) -> float:
                 f"direction must be a non-empty, finite, nonzero vector, got {d.tolist()}"
             )
         d = d / norm
-    if roundtrip_residual(SEARCH_LO * d, mode) >= COLLAPSE_RELATIVE_ERROR:
-        return SEARCH_LO
     coarse = np.arange(SEARCH_LO, SEARCH_HI + COARSE_STEP, COARSE_STEP)
     hit = _first_collapse(coarse, mode, d)
     if hit is None:

@@ -303,13 +303,9 @@ def train_node_classification(config: ModelConfig, graph: Graph,
 
 def _disjoint_union(graphs: list[Graph]):
     offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
-    edges = np.concatenate(
-        [g.edges + off for g, off in zip(graphs, offsets) if len(g.edges)]
-    ) if any(len(g.edges) for g in graphs) else np.zeros((0, 2), dtype=np.int64)
+    edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
     feats = np.concatenate([g.features for g in graphs])
-    membership = np.concatenate(
-        [np.full(g.n, i, dtype=np.int64) for i, g in enumerate(graphs)]
-    )
+    membership = np.repeat(np.arange(len(graphs)), [g.n for g in graphs])
     total = sum(g.n for g in graphs)
     return Graph(total, edges, feats), membership
 

@@ -338,6 +338,20 @@ def test_hyperbolicity_fractional_id_exits_2_without_output(tmp_path, monkeypatc
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text", ["-1 -1\n", "0 1\n1 2\n2 0\n-1 -1\n"])
+def test_hyperbolicity_negative_self_loop_exits_2_without_output(tmp_path, monkeypatch,
+                                                                 capsys, text):
+    edges = tmp_path / "e.csv"
+    edges.write_text(text)
+    out_dir = tmp_path / "hyp"
+    code, out, err = run_cli(["hyperbolicity", "--edges", str(edges), "--out", str(out_dir)],
+                             tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert "edge endpoint out of range" in err
+    assert "delta" not in out
+    assert not out_dir.exists()
+
+
 def test_hyperbolicity_cap_exceeded_exits_2(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(
         ["hyperbolicity", "--synthetic", "cycle:30", "--cap", "10"],

@@ -24,6 +24,7 @@ from shgcn.graphs import (
     split_nodes,
     tree_graph,
 )
+from shgcn.training import _disjoint_union
 
 
 def brute_force_delta(g: Graph) -> float:
@@ -56,6 +57,51 @@ def test_graph_dedupes_and_symmetrizes():
 def test_graph_rejects_out_of_range():
     with pytest.raises(ValueError):
         Graph(2, [[0, 5]], np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("loop", [[5, 5], [-1, -1]])
+def test_graph_rejects_out_of_range_self_loop(loop):
+    with pytest.raises(ValueError, match="edge endpoint out of range"):
+        Graph(3, [loop], np.zeros((3, 1)))
+
+
+def reference_canonical_edges(n: int, edges) -> np.ndarray:
+    """The row-wise canonicaliser Graph used before it keyed pairs as
+    lo * n + hi: sort each row, drop duplicate rows, drop self-loops, then
+    range-check what is left."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size:
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        edges = np.unique(np.column_stack([lo, hi]), axis=0)
+        if np.any(edges[:, 0] == edges[:, 1]):
+            edges = edges[edges[:, 0] != edges[:, 1]]
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError("edge endpoint out of range")
+    return edges
+
+
+def _random_edge_lists(count: int):
+    """Edge lists with duplicates, reversed pairs and self-loops, plus the
+    empty list and single-node graphs."""
+    rng = np.random.default_rng(2024)
+    yield 3, np.zeros((0, 2), dtype=np.int64)
+    yield 1, []
+    yield 1, [[0, 0], [0, 0]]
+    for _ in range(count):
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        dupes = edges[rng.integers(0, max(len(edges), 1), size=len(edges) // 3)]
+        edges = np.concatenate([edges, dupes[:, ::-1], dupes])
+        yield n, edges[rng.permutation(len(edges))]
+
+
+def test_canonical_edges_equal_the_row_wise_reference():
+    for n, edges in _random_edge_lists(2000):
+        expected = reference_canonical_edges(n, edges)
+        got = Graph(n, edges, np.zeros((n, 1))).edges
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +673,29 @@ def test_random_tree_is_tree():
         g = random_tree(n, seed=seed)
         assert g.num_edges == n - 1
         assert g.is_connected()
+    for seed in range(3):
+        assert random_tree(2, seed=seed).edges.tolist() == [[0, 1]]
+
+
+def _member(n: int, edges) -> Graph:
+    return Graph(n, edges, np.arange(2.0 * n).reshape(n, 2))
+
+
+@pytest.mark.parametrize("members", [
+    [_member(1, []), _member(3, [[0, 1], [1, 2], [2, 0]]), _member(4, []),
+     _member(5, [[4, 0], [1, 3]]), _member(2, [])],
+    [_member(1, []), _member(3, [])],
+])
+def test_disjoint_union_with_edgeless_members(members):
+    union, membership = _disjoint_union(members)
+    offsets = np.cumsum([0] + [g.n for g in members])
+    expected = [(u + off, v + off) for g, off in zip(members, offsets) for u, v in g.edges]
+    assert union.n == offsets[-1]
+    assert union.edges.dtype == np.int64 and union.edges.shape == (len(expected), 2)
+    assert union.edges.tolist() == [list(e) for e in expected]
+    assert np.array_equal(union.features, np.concatenate([g.features for g in members]))
+    assert membership.dtype == np.int64
+    assert membership.tolist() == [i for i, g in enumerate(members) for _ in range(g.n)]
 
 
 def test_parse_synthetic():

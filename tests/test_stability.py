@@ -230,6 +230,14 @@ def test_thresholds_equal_the_point_by_point_scan(mode, dim):
 
 
 @pytest.mark.parametrize("mode", list(Precision))
+def test_failure_at_search_lo_refines_back_to_search_lo(mode, monkeypatch):
+    # every residual is >= 0, so every norm fails and the first, SEARCH_LO, wins
+    monkeypatch.setattr("shgcn.stability.COLLAPSE_RELATIVE_ERROR", 0.0)
+    assert collapse_threshold(mode) == SEARCH_LO
+    assert collapse_threshold(mode, [1.0, -2.0, 3.0]) == SEARCH_LO
+
+
+@pytest.mark.parametrize("mode", list(Precision))
 def test_residuals_equal_the_per_vector_round_trip(mode):
     # every 7th coarse norm up to 40, past each mode's threshold, so the
     # collapsed (inf) rows are compared too
