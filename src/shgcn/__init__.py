@@ -5,7 +5,7 @@ prober, hyperbolic/Euclidean GCN layers with built-in reverse-mode
 differentiation, and a desk-scale training and benchmarking harness.
 """
 
-from .autodiff import Matrix, Node, Tape, finite_diff_grad
+from .autodiff import Matrix, Node, Tape, finite_diff_grad, median_pool
 from .errors import BoundaryCollapseError, PrecisionOverflowError, ShapeError
 from .geometry import (
     LorentzPoint,
@@ -37,13 +37,10 @@ from .graphs import (
 from .layers import (
     DecoderConfig,
     GraphModel,
-    LayerParams,
     ModelConfig,
-    feature_transform,
     fermi_dirac_score,
     gcn_layer_forward,
     hgcn_agg0_layer_forward,
-    median_pool,
     nc_head_forward,
     shgcn_layer_forward,
 )

@@ -96,14 +96,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def shape(self):
         return self.data.shape
 

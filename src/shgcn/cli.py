@@ -275,6 +275,8 @@ def cmd_run(args) -> int:
     resolved = {**cfg, "dataset": args.synthetic or args.edges, "version": __version__}
 
     graph = None if cfg["task"] == "gr" else _load_dataset(args)
+    if cfg["task"] == "nc" and graph.labels is None:
+        raise CliError("node classification needs labels: pass --labels <file>")
     count, items = ((cfg["count"], "graphs") if cfg["task"] == "gr" else
                     (graph.num_edges, "edges") if cfg["task"] == "lp" else (graph.n, "nodes"))
     _check_split(count, ratios, items)

@@ -70,9 +70,6 @@ class PoincarePoint:
     def dim(self) -> int:
         return self.coords.size
 
-    def on_boundary(self) -> bool:
-        return self.c * float(self.coords @ self.coords) >= 1.0
-
 
 @dataclasses.dataclass(frozen=True)
 class TangentVector:
@@ -366,11 +363,11 @@ def lorentz_exp0(v, K: float = 1.0, mode: Precision = Precision.DOUBLE) -> Loren
 
 
 def lorentz_dist0(x: LorentzPoint, mode: Precision = Precision.DOUBLE) -> float:
-    """Distance from the north pole, arccosh(-<o, x>_L), in the K = 1
-    convention.  Validates hyperboloid membership in the active mode first:
-    in half precision the squared coordinates overflow well before the
-    coordinates themselves do, and that saturation is reported as collapse.
-    """
+    """arccosh(-<o, x>_L) = arccosh(x0), the distance from the north pole o
+    in the K = 1 convention.  Validates hyperboloid membership in the active
+    mode first: in half precision the squared coordinates overflow well
+    before the coordinates themselves do, and that saturation is reported
+    as collapse."""
     if x.K != 1.0:
         raise ValueError("distance-from-origin probe uses the K = 1 convention")
     inner = minkowski_inner(x.coords, x.coords, mode)
@@ -381,13 +378,7 @@ def lorentz_dist0(x: LorentzPoint, mode: Precision = Precision.DOUBLE) -> float:
     tol = max(1e-9, 64.0 * mode.epsilon * max(1.0, float(x.coords[0]) ** 2))
     if abs(inner + x.K) > tol * x.K:
         raise ValueError(f"not a hyperboloid point: <x,x>_L = {inner}")
-    arg = float(round_array(-minkowski_inner(lorentz_origin_full(x), x.coords, mode), mode))
+    arg = float(round_array(x.coords[0], mode))
     if arg < 1.0 - 1e-9:
         raise ValueError(f"arccosh argument {arg} < 1")
     return float(round_array(math.acosh(max(arg, 1.0)), mode))
-
-
-def lorentz_origin_full(x: LorentzPoint) -> np.ndarray:
-    o = np.zeros(x.coords.size)
-    o[0] = math.sqrt(x.K)
-    return o

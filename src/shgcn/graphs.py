@@ -48,6 +48,8 @@ class Graph:
             labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
             if labels.shape != (self.n,):
                 raise ValueError("labels must have one entry per node")
+            if np.any(labels < 0):
+                raise ValueError("labels must be non-negative")
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -98,7 +100,6 @@ class EdgeSplit:
     test_pos: np.ndarray
     val_neg: np.ndarray
     test_neg: np.ndarray
-    seed: int
 
 
 def sample_negative_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -209,7 +210,6 @@ def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit
         test_pos=g.edges[np.sort(test_idx)],
         val_neg=val_neg,
         test_neg=test_neg,
-        seed=seed,
     )
 
 

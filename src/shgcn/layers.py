@@ -23,21 +23,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Matrix, Node, Tape
 from .errors import ShapeError
-from .geometry import (
-    PoincarePoint,
-    default_projection_eps,
-    exp0_array,
-    mobius_add_array,
-    project_array,
-)
+from .geometry import default_projection_eps
 from .precision import Precision
 
 LAYER_KINDS = ("shgcn", "hgcn-agg0", "gcn")
 ACTIVATIONS = ("relu", "identity")
-
-
-def softplus_float(x: float) -> float:
-    return math.log1p(math.exp(-abs(x))) + max(x, 0.0)
 
 
 def inverse_softplus(c: float) -> float:
@@ -45,17 +35,6 @@ def inverse_softplus(c: float) -> float:
         raise ValueError("curvature must be positive")
     # log(expm1(c)) has rounded to c long before expm1 overflows near c = 709.8
     return math.log(math.expm1(c)) if c < 700.0 else float(c)
-
-
-@dataclasses.dataclass
-class LayerParams:
-    """One layer's weight (d_out, d_in), Euclidean bias (d_out,) and raw
-    curvature with c = softplus(theta_c) > 0: the argument of
-    `feature_transform`."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-    theta_c: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,26 +176,6 @@ def ballify_rows(x: Node, theta_c: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# vector-level feature transform (audit path against the geometry module)
-# ---------------------------------------------------------------------------
-
-
-def feature_transform(x, params: LayerParams, mode: Precision = Precision.DOUBLE) -> PoincarePoint:
-    """exp0(W x) (+)_c exp0(b) for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if params.weight.shape[1] != x.size:
-        raise ShapeError(
-            f"weight expects dimension {params.weight.shape[1]}, got {x.size}"
-        )
-    c = softplus_float(params.theta_c)
-    eps = default_projection_eps(mode)
-    p = project_array(exp0_array(params.weight @ x, c, mode), c, eps, mode)
-    bp = project_array(exp0_array(params.bias, c, mode), c, eps, mode)
-    out = project_array(mobius_add_array(p, bp, c, mode), c, eps, mode)
-    return PoincarePoint(out, c)
-
-
-# ---------------------------------------------------------------------------
 # decoder heads
 # ---------------------------------------------------------------------------
 
@@ -250,11 +209,6 @@ def fermi_dirac_edge_scores(z: Node, pairs, r: float = 2.0, t: float = 1.0) -> N
 def nc_head_forward(h: Node, wc: Node, bc: Node) -> Node:
     """Class logits H Wc^T + bc (softmax lives inside the loss)."""
     return h @ wc.T + bc
-
-
-def median_pool(h: Node, membership) -> Node:
-    """Per-graph, per-dimension median of node rows."""
-    return ad.median_pool(h, membership)
 
 
 def mlp_readout(pooled: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
@@ -385,7 +339,7 @@ class RegressionHead(ParameterStore):
                           "r_b2": np.zeros((1, 1))})
 
     def forward(self, tape: Tape, h: Node, membership, mode: Precision = Precision.DOUBLE):
-        pooled = median_pool(h, membership)
+        pooled = ad.median_pool(h, membership)
         nodes = self.register(tape, mode)
         pred = mlp_readout(pooled, nodes["r_w1"], nodes["r_b1"], nodes["r_w2"], nodes["r_b2"])
         return pred, nodes

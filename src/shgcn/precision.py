@@ -27,18 +27,13 @@ class Precision(enum.Enum):
     @property
     def epsilon(self) -> float:
         """Machine epsilon: 2**-10, 2**-23, 2**-52."""
-        return _EPSILONS[self]
+        return float(np.finfo(self.dtype).eps)
 
 
 _DTYPES = {
     Precision.HALF: np.float16,
     Precision.SINGLE: np.float32,
     Precision.DOUBLE: np.float64,
-}
-_EPSILONS = {
-    Precision.HALF: 2.0**-10,
-    Precision.SINGLE: 2.0**-23,
-    Precision.DOUBLE: 2.0**-52,
 }
 
 

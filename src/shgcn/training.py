@@ -320,6 +320,8 @@ def train_graph_regression(config: ModelConfig, graphs: list[Graph],
     targets = np.array([g.graph_target for g in graphs], dtype=np.float64)
     if np.any(~np.isfinite(targets)):
         raise ValueError("every graph needs a finite graph_target")
+    if len(widths := {g.features.shape[1] for g in graphs}) > 1:
+        raise ValueError(f"every graph needs the same feature width, got {sorted(widths)}")
     union, membership = _disjoint_union(graphs)
     adj = normalized_adjacency(union)
     train_g, val_g, test_g = split_nodes(len(graphs), ratios, seed)
@@ -370,6 +372,7 @@ def train_model(config: ModelConfig, graph: Graph, split, task: str = "lp",
 # ---------------------------------------------------------------------------
 
 WARMUP_EPOCHS = 5
+_CI_Z = 1.96  # two-sided 95% normal quantile
 
 
 @dataclasses.dataclass
@@ -420,9 +423,9 @@ def benchmark_models(kinds, graph: Graph, split: EdgeSplit, seed: int = 0,
     return results
 
 
-def speedup_with_ci(baseline: BenchResult, subject: BenchResult, z: float = 1.96):
-    """Ratio of mean epoch times with a delta-method confidence interval."""
+def speedup_with_ci(baseline: BenchResult, subject: BenchResult):
+    """Ratio of mean epoch times with a delta-method 95% confidence interval."""
     ratio = baseline.mean / subject.mean
     rel = np.sqrt((baseline.se / baseline.mean) ** 2 + (subject.se / subject.mean) ** 2)
-    half = z * ratio * float(rel)
+    half = _CI_Z * ratio * float(rel)
     return ratio, ratio - half, ratio + half

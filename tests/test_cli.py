@@ -106,6 +106,35 @@ def test_run_bad_input_file_exits_2_without_output(tmp_path, monkeypatch, capsys
     assert not out_dir.exists()
 
 
+def test_run_nc_without_labels_exits_2_without_output(tmp_path, monkeypatch, capsys):
+    edges = tmp_path / "e.txt"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(39)))
+    out_dir = tmp_path / "nolabels"
+    code, out, err = run_cli(
+        ["run", "--task", "nc", "--edges", str(edges), "--epochs", "3", "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 2
+    assert "node classification needs labels" in err and "--labels" in err
+    assert not out_dir.exists()
+
+
+def test_run_negative_label_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("shgcn.cli.train_model", no_training)
+    out_dir = tmp_path / "neg"
+    code, out, err = run_cli(
+        ["run", "--task", "nc", "--model", "gcn", *_nc_files(tmp_path, label="-1"),
+         "--epochs", "3", "--dim", "4", "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 2
+    assert "labels must be non-negative" in err
+    assert not out_dir.exists()
+
+
 def test_run_accepts_integral_floats_in_input_files(tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "ok"
     files = _nc_files(tmp_path, edge_line="3.0 4", label="1.0")

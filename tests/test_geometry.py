@@ -15,6 +15,7 @@ from shgcn.geometry import (
     log0_array,
     lorentz_dist0,
     lorentz_exp0,
+    lorentz_exp0_array,
     minkowski_inner,
     mobius_add,
     mobius_add_array,
@@ -25,7 +26,7 @@ from shgcn.geometry import (
     project_array,
     row_norms,
 )
-from shgcn.precision import Precision
+from shgcn.precision import Precision, round_array
 
 HALF = Precision.HALF
 
@@ -296,6 +297,55 @@ def test_lorentz_dist0_zero_at_origin():
     from shgcn.geometry import lorentz_origin
 
     assert lorentz_dist0(lorentz_origin(1.0)) == 0.0
+
+
+def reference_lorentz_dist0(x: LorentzPoint, mode: Precision) -> float:
+    """lorentz_dist0 as arccosh(-<o, x>_L) through the Minkowski product
+    with the pole o = (1, 0, ..., 0), after the same membership checks."""
+    inner = minkowski_inner(x.coords, x.coords, mode)
+    if not math.isfinite(inner):
+        raise PrecisionOverflowError(
+            "Minkowski self-product saturated under the active rounding mode"
+        )
+    tol = max(1e-9, 64.0 * mode.epsilon * max(1.0, float(x.coords[0]) ** 2))
+    if abs(inner + x.K) > tol * x.K:
+        raise ValueError(f"not a hyperboloid point: <x,x>_L = {inner}")
+    pole = np.zeros(x.coords.size)
+    pole[0] = 1.0
+    arg = float(round_array(-minkowski_inner(pole, x.coords, mode), mode))
+    if arg < 1.0 - 1e-9:
+        raise ValueError(f"arccosh argument {arg} < 1")
+    return float(round_array(math.acosh(max(arg, 1.0)), mode))
+
+
+def _outcome(fn, *args):
+    """The result's bits, or the exception's type and message."""
+    try:
+        return np.float64(fn(*args)).tobytes()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mode", list(Precision))
+def test_lorentz_dist0_equals_the_minkowski_product_form(mode):
+    rng = np.random.default_rng(21)
+    kinds = set()
+    for d in range(1, 6):
+        for _ in range(200):
+            v = rng.standard_normal(d)
+            v *= rng.uniform(0.0, 12.0) / np.linalg.norm(v)
+            on = lorentz_exp0_array(v, 1.0, mode)
+            scale = 1.0 + rng.uniform(-1.0, 1.0, on.size) * rng.choice([1e-6, 1e-3, 0.3])
+            flipped = on * np.r_[-1.0, np.ones(d)]
+            huge = on * 10.0 ** rng.integers(0, 300)
+            for coords in (on, on * scale, flipped, huge, rng.standard_normal(d + 1) * 3.0):
+                x = LorentzPoint(coords, 1.0)
+                want = _outcome(reference_lorentz_dist0, x, mode)
+                assert _outcome(lorentz_dist0, x, mode) == want, (mode, coords)
+                kinds.add(want[0] if isinstance(want, tuple) else float)
+    # every branch is reached: a distance, an off-hyperboloid or negative-sheet
+    # point, and a saturated self-product
+    assert kinds == {float, ValueError, PrecisionOverflowError}
 
 
 def test_lorentz_half_saturates_at_norm_seven():

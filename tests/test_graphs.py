@@ -65,6 +65,12 @@ def test_graph_rejects_out_of_range_self_loop(loop):
         Graph(3, [loop], np.zeros((3, 1)))
 
 
+def test_graph_rejects_negative_labels():
+    with pytest.raises(ValueError, match="labels must be non-negative"):
+        Graph(3, [[0, 1]], np.zeros((3, 1)), [0, -1, 1])
+    assert Graph(3, [[0, 1]], np.zeros((3, 1)), [0, 2, 1]).labels.tolist() == [0, 2, 1]
+
+
 def reference_canonical_edges(n: int, edges) -> np.ndarray:
     """The row-wise canonicaliser Graph used before it keyed pairs as
     lo * n + hi: sort each row, drop duplicate rows, drop self-loops, then

@@ -11,23 +11,19 @@ from shgcn.layers import (
     ClassificationHead,
     DecoderConfig,
     GraphModel,
-    LayerParams,
     ModelConfig,
     RegressionHead,
     ballify_rows,
-    feature_transform,
     fermi_dirac_edge_scores,
     fermi_dirac_score,
     gcn_layer_forward,
     hgcn_agg0_layer_forward,
     inverse_softplus,
     log0_rows,
-    median_pool,
     mobius_add_rows,
     nc_head_forward,
     project_rows,
     shgcn_layer_forward,
-    softplus_float,
 )
 from shgcn.precision import Precision
 
@@ -52,39 +48,19 @@ def layer_nodes(tape, w, b, theta, mode=DOUBLE):
 # ---------------------------------------------------------------------------
 
 
+def softplus(theta: float) -> float:
+    """The curvature the layers read from a raw parameter theta."""
+    return float(ad.softplus(Tape().constant(theta)).data[0, 0])
+
+
 def test_softplus_inverse_roundtrip():
     for c in (1e-8, 0.5, 1.0, 3.0):
-        assert abs(softplus_float(inverse_softplus(c)) - c) < 1e-12 * max(1, c)
+        assert abs(softplus(inverse_softplus(c)) - c) < 1e-12 * max(1, c)
 
 
 def test_curvature_always_positive():
     for theta in (-50.0, -1.0, 0.0, 10.0):
-        assert softplus_float(theta) > 0.0
-
-
-# ---------------------------------------------------------------------------
-# feature transform (vector level, against audited geometry ops)
-# ---------------------------------------------------------------------------
-
-
-def test_feature_transform_zero_bias_is_exp0():
-    params = LayerParams(np.eye(2), np.zeros(2), THETA_C1)
-    out = feature_transform([0.5, 0.0], params)
-    assert np.allclose(out.coords, exp0_array([0.5, 0.0], 1.0), atol=1e-15)
-
-
-def test_feature_transform_zero_input_zero_bias_is_origin():
-    params = LayerParams(np.eye(3), np.zeros(3), THETA_C1)
-    assert np.array_equal(feature_transform([0.0, 0.0, 0.0], params).coords, np.zeros(3))
-
-
-def test_feature_transform_composes_geometry_ops():
-    params = LayerParams(np.eye(2), np.array([0.5, 0.0]), THETA_C1)
-    out = feature_transform([0.5, 0.0], params)
-    p = exp0_array([0.5, 0.0], 1.0)
-    expected = mobius_add_array(p, p, 1.0)
-    assert np.allclose(out.coords, expected, atol=1e-12)
-    assert abs(p[0] - math.tanh(0.5)) < 1e-15
+        assert softplus(theta) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +293,7 @@ def test_nc_head_argmax_and_softmax_symmetry():
 def test_median_pool_layer():
     tape = Tape()
     h = tape.variable([[1.0], [2.0], [100.0], [1.0], [3.0]])
-    out = median_pool(h, [0, 0, 0, 1, 1])
+    out = ad.median_pool(h, [0, 0, 0, 1, 1])
     assert out.data[0, 0] == 2.0
     assert out.data[1, 0] == 2.0
 
@@ -507,4 +483,4 @@ def test_config_rejects_non_positive_curvature():
     for c in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="init_curvature"):
             ModelConfig(init_curvature=c)
-    assert softplus_float(inverse_softplus(1000.0)) == 1000.0  # no overflow
+    assert softplus(inverse_softplus(1000.0)) == 1000.0  # no overflow

@@ -36,6 +36,13 @@ def test_epsilon_definition(mode):
     assert round_to_precision(1.0 + eps / 2.0 * (1.0 - 2.0**-20), mode) == 1.0
 
 
+def test_epsilon_is_the_table_as_python_floats():
+    # a numpy float16 epsilon would pull the arithmetic it enters into half
+    got = [mode.epsilon for mode in (HALF, SINGLE, Precision.DOUBLE)]
+    assert got == [2.0**-10, 2.0**-23, 2.0**-52]
+    assert all(type(eps) is float for eps in got)
+
+
 def test_overflow_saturates_to_infinity():
     assert round_to_precision(1e6, HALF) == np.inf
     assert round_to_precision(-1e6, HALF) == -np.inf

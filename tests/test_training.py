@@ -13,9 +13,11 @@ from shgcn.autodiff import Tape, finite_diff_grad
 from shgcn.errors import NonFiniteError
 from shgcn.graphs import (
     Graph,
+    cycle_graph,
     erdos_graph,
     graph_from_train_edges,
     normalized_adjacency,
+    random_tree,
     sample_negative_edges,
     split_edges,
     split_nodes,
@@ -244,6 +246,15 @@ def test_graph_regression_rejects_bad_ratios(ratios):
     config = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=6)
     with pytest.raises(ValueError, match="three nonnegatives summing to 1"):
         train_graph_regression(config, regression_family(), seed=0, epochs=1, ratios=ratios)
+
+
+def test_graph_regression_refuses_mixed_feature_widths():
+    # generated graphs under 16 nodes carry one landmark column per node
+    graphs = [Graph(g.n, g.edges, g.features, None, 1.0)
+              for g in (random_tree(1), cycle_graph(3), cycle_graph(3))]
+    config = ModelConfig(layer_kind="shgcn", num_layers=1, hidden_dim=4)
+    with pytest.raises(ValueError, match=r"same feature width, got \[1, 3\]"):
+        train_graph_regression(config, graphs, seed=0, epochs=1, ratios=(1 / 3, 1 / 3, 1 / 3))
 
 
 def test_graph_regression_draws_dropout_deterministically():
