@@ -24,9 +24,9 @@ the incoming gradient ``g`` to that operand's contribution and returns a
 new array, ``g`` itself, a view of ``g``, or None when it sends nothing
 (scatters write into the operand's buffer and return None).  The engine,
 not the rule, decides the rest: it checks that the operands share one
-mode, keeps no parents and no rules for a node computed from constants
-alone, runs a rule only for an operand that needs a gradient, and sums a
-contribution down to a broadcast operand's shape.  During
+mode and one tape, keeps no parents and no rules for a node computed from
+constants alone, runs a rule only for an operand that needs a gradient,
+and sums a contribution down to a broadcast operand's shape.  During
 ``Tape.backward`` a node's buffer is created by its first contribution:
 adopted when it is a new array, copied when it is ``g`` or a view of it, so
 no two nodes share a buffer.  A node that no contribution reaches keeps
@@ -234,23 +234,25 @@ def _record(raw: np.ndarray, operands: tuple, *rules) -> Node:
     """Record a primitive's result, with one gradient rule per operand.
 
     `raw` must be a fresh C-contiguous float64 array that the caller hands
-    over, and the operands must share one mode.  A rule maps the incoming
-    gradient `g` to its operand's contribution: a new array, `g` itself, a
-    view of `g`, or None when it sends nothing (a scatter writes into
-    `_buffer(operand)` and returns None).  The engine runs a rule only for
-    an operand that needs a gradient, sums the contribution down to a
-    broadcast operand's shape, and adopts it as the operand's buffer only
-    when it is neither `g` nor a view.  A result of constants alone drops
-    its operands and rules."""
+    over, and the operands must share one mode and one tape.  A rule maps
+    the incoming gradient `g` to its operand's contribution: a new array,
+    `g` itself, a view of `g`, or None when it sends nothing (a scatter
+    writes into `_buffer(operand)` and returns None).  The engine runs a
+    rule only for an operand that needs a gradient, sums the contribution
+    down to a broadcast operand's shape, and adopts it as the operand's
+    buffer only when it is neither `g` nor a view.  A result of constants
+    alone drops its operands and rules."""
     first = operands[0]
-    mode = first.value.mode
+    mode, tape = first.value.mode, first.tape
     for p in operands[1:]:
         if p.value.mode is not mode:
             raise ShapeError(f"mixed precision modes: {mode.value} vs {p.value.mode.value}")
+        if p.tape is not tape:
+            raise ShapeError("operands belong to different tapes")
     value = Matrix._adopt(raw, mode)
     sends = [(p, rule) for p, rule in zip(operands, rules) if p.requires_grad]
     if not sends:
-        return Node(value, first.tape, requires_grad=False)
+        return Node(value, tape, requires_grad=False)
 
     def backward(g):
         for p, rule in sends:
@@ -260,7 +262,7 @@ def _record(raw: np.ndarray, operands: tuple, *rules) -> Node:
                     c = _unbroadcast(c, p.value.data.shape)
                 _accumulate(p, c, fresh=c is not g and c.base is None)
 
-    return Node(value, first.tape, operands, backward)
+    return Node(value, tape, operands, backward)
 
 
 def _accumulate(node: Node, g: np.ndarray, fresh: bool) -> None:

@@ -235,18 +235,20 @@ def _load_dataset(args) -> Graph:
 
 def _regression_family(spec: str, count: int, seed: int) -> list[Graph]:
     """A family of random graphs around an erdos template: member i draws
-    its edge probability from [p/2, 3p/2], capped at 1.  The regression
-    target is ten times the realized edge density."""
+    its edge probability from [p/2, 3p/2], capped at 1.  Every draw follows
+    the run seed; the template's seed must be an integer but is not read.
+    The regression target is ten times the realized edge density."""
     kind, _, rest = spec.partition(":")
     if kind != "erdos":
         raise CliError("graph regression expects an erdos:<n>,<p>,<seed> template")
     try:
-        n, p, _ = rest.split(",")
-        n, p = int(n), float(p)
+        n, p, template_seed = rest.split(",")
+        n, p, _ = int(n), float(p), int(template_seed)
         if n < 2 or not 0.0 <= p <= 1.0:
             raise ValueError
     except ValueError:
-        raise CliError(f"bad erdos template {spec!r}: need n >= 2 and p in [0, 1]") from None
+        raise CliError(f"bad erdos template {spec!r}: need n >= 2 and p in [0, 1], "
+                       "and an integer seed") from None
     rng = np.random.default_rng(seed)
     graphs = []
     for i in range(count):
@@ -332,6 +334,8 @@ def cmd_bench(args) -> int:
     kinds = [_parse("model", k.strip()) for k in args.models.split(",") if k.strip()]
     if len(kinds) < 2:
         raise CliError("bench needs at least two model kinds (--models a,b)")
+    if len(set(kinds)) < len(kinds):
+        raise CliError(f"bench compares distinct model kinds, got {','.join(kinds)}")
     epochs, ratios = cfg["epochs"], cfg["ratios"]
     with _usage_errors():
         check_bench_size(epochs, args.runs)

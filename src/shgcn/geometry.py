@@ -300,14 +300,6 @@ def project(x, c: float, eps: float | None = None, mode: Precision = Precision.D
     return PoincarePoint(project_array(x, c, eps, mode), c)
 
 
-def conformal_factor(x: PoincarePoint) -> float:
-    """lambda_x = 2 / (1 - c ||x||^2), the metric scaling at x."""
-    sq = x.c * float(x.coords @ x.coords)
-    if sq >= 1.0:
-        raise BoundaryCollapseError("conformal factor undefined on the boundary")
-    return 2.0 / (1.0 - sq)
-
-
 # ---------------------------------------------------------------------------
 # Lorentz model
 # ---------------------------------------------------------------------------
@@ -325,12 +317,6 @@ def minkowski_inner(x, y, mode: Precision = Precision.DOUBLE) -> float:
         # sum() counts prods[0] once with a plus sign; subtracting it twice
         # flips exactly that term, giving -x0*y0 + x1*y1 + ...
         return float(r(-2.0 * prods[0] + prods.sum()))
-
-
-def lorentz_origin(K: float) -> LorentzPoint:
-    coords = np.zeros(2)
-    coords[0] = math.sqrt(K)
-    return LorentzPoint(coords, K)
 
 
 def lorentz_exp0_array(v, K: float, mode: Precision = Precision.DOUBLE) -> np.ndarray:

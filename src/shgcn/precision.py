@@ -53,10 +53,3 @@ def round_array(x: np.ndarray, mode: Precision) -> np.ndarray:
 def round_to_precision(x: float, mode: Precision) -> float:
     """Scalar version of round_array."""
     return float(round_array(np.asarray(x), mode))
-
-
-def saturates(x: np.ndarray, mode: Precision) -> bool:
-    """True if rounding x to mode turns a finite value into an infinity."""
-    x = np.asarray(x, dtype=np.float64)
-    rounded = round_array(x, mode)
-    return bool(np.any(np.isinf(rounded) & np.isfinite(x)))

@@ -58,28 +58,28 @@ def representable_radius(mode: Precision) -> float:
     return math.log(10.0) * max_boundary_k(mode) + math.log(2.0)
 
 
-def roundtrip_residual(v, mode: Precision, c: float = PROBE_CURVATURE) -> float:
+def roundtrip_residual(v, mode: Precision) -> float:
     """||log0(exp0(v)) - v|| / max(1, ||v||), forward ops rounded to mode.
 
     Returns inf when the round trip is undefined (the exponential landed on
-    the boundary), which counts as maximal collapse.  Raises ValueError for
+    the boundary, or is NaN because the norm overflowed the mode), which
+    counts as maximal collapse.  Raises ValueError for
     a non-finite v, whose residual would be NaN and read as no collapse.
     """
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"round trip of a non-finite vector: {v.tolist()}")
-    return float(_residuals(v[None, :], mode, c)[0])
+    return float(_residuals(v[None, :], mode)[0])
 
 
-def _residuals(V: np.ndarray, mode: Precision, c: float = PROBE_CURVATURE) -> np.ndarray:
+def _residuals(V: np.ndarray, mode: Precision) -> np.ndarray:
     """roundtrip_residual of each row of the finite 2-D array V."""
-    Y = exp0_array(V, c, mode)
-    ny = row_norms(Y)
-    s = math.sqrt(c)
-    # on or past the boundary, before or after log0 rounds its argument
-    ok = ~((s * ny >= 1.0) | (round_array(s * round_array(ny, mode), mode) >= 1.0))
+    Y = exp0_array(V, PROBE_CURVATURE, mode)
+    # on or past the boundary once log0 rounds its argument (rounding is
+    # monotone, so this catches every unrounded norm >= 1), or NaN
+    ok = round_array(row_norms(Y), mode) < 1.0
     out = np.full(len(V), math.inf)
-    W = log0_array(Y[ok], c, mode)
+    W = log0_array(Y[ok], PROBE_CURVATURE, mode)
     out[ok] = row_norms(W - V[ok]) / np.maximum(1.0, row_norms(V[ok]))
     return out
 

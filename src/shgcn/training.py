@@ -123,7 +123,6 @@ class EpochRecord:
     epoch: int
     train_loss: float
     val_metric: float
-    wall_time_seconds: float
 
 
 @dataclasses.dataclass
@@ -183,7 +182,7 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, *, higher_is_better:
         """Record the oldest unvalidated epoch; True once patience runs out."""
         nonlocal best_val, best_params, stale
         val = val_of(out.value)
-        records.append(EpochRecord(len(records), loss, val, times[len(records)]))
+        records.append(EpochRecord(len(records), loss, val))
         if not np.isfinite(val):
             best_params = copy.deepcopy(stepped)
         elif val > best_val if higher_is_better else val < best_val:
@@ -258,17 +257,14 @@ def train_link_prediction(config: ModelConfig, graph: Graph, split: EdgeSplit,
     return TrainResult(best_params, records, {"auc": test_auc}, times)
 
 
-def train_node_classification(config: ModelConfig, graph: Graph,
-                              node_split=None, seed: int = 0, epochs: int = 200,
+def train_node_classification(config: ModelConfig, graph: Graph, node_split,
+                              seed: int = 0, epochs: int = 200,
                               patience: int = 100, lr: float = 0.01,
-                              ratios=(0.85, 0.05, 0.10),
                               mode: Precision = Precision.DOUBLE) -> TrainResult:
     """Cross-entropy node classification over the full-graph adjacency with
-    a Euclidean logistic-regression head."""
+    a Euclidean logistic-regression head, on split_nodes' (train, val, test)."""
     if graph.labels is None:
         raise ValueError("node classification needs labels")
-    if node_split is None:
-        node_split = split_nodes(graph.n, ratios, seed)
     train_idx, val_idx, test_idx = node_split
     num_classes = int(graph.labels.max()) + 1
     adj = normalized_adjacency(graph)
@@ -363,7 +359,7 @@ def train_model(config: ModelConfig, graph: Graph, split, task: str = "lp",
                                      patience, lr, decoder, mode)
     if task == "nc":
         return train_node_classification(config, graph, split, seed, epochs,
-                                         patience, lr, mode=mode)
+                                         patience, lr, mode)
     raise ValueError(f"unknown task {task!r} (use train_graph_regression for gr)")
 
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from shgcn import autodiff as ad
 from shgcn.autodiff import Matrix, Tape, finite_diff_grad
 from shgcn.errors import BoundaryCollapseError, ShapeError
-from shgcn.precision import Precision
+from shgcn.precision import Precision, round_array
 
 
 def rel_err(a, b):
@@ -115,6 +115,17 @@ def test_mixed_modes_rejected():
     for op in (ad.add, ad.sub, ad.mul, ad.div, ad.matmul, ad.minimum):
         for x, y in ((a, b), (b, a), (a, k), (k, b)):
             with pytest.raises(ShapeError, match="mixed precision modes"):
+                op(x, y)
+
+
+def test_operands_from_two_tapes_rejected():
+    # a node from another tape would collect gradients that no backward resets
+    t1, t2 = Tape(), Tape()
+    a, b = t1.variable([[2.0]]), t2.variable([[3.0]])
+    k = t2.constant([[1.0]])  # no gradient needed
+    for op in (ad.add, ad.sub, ad.mul, ad.div, ad.matmul, ad.minimum):
+        for x, y in ((a, b), (b, a), (a, k), (k, a)):
+            with pytest.raises(ShapeError, match="different tapes"):
                 op(x, y)
 
 
@@ -614,8 +625,6 @@ def test_minimum_sends_nothing_to_an_operand_it_never_routes_to(low_side):
 @pytest.mark.parametrize("mode,big", [(Precision.HALF, 1e6), (Precision.SINGLE, 1e39)])
 @pytest.mark.parametrize("case", ["finite", "saturating", "nan", "inf", "nan-and-saturating"])
 def test_matrix_overflow_flag_matches_the_full_scan(mode, big, case):
-    from shgcn.precision import saturates
-
     raw = {
         "finite": [[1.0, -2.5]],
         "saturating": [[1.0, -big]],
@@ -624,7 +633,8 @@ def test_matrix_overflow_flag_matches_the_full_scan(mode, big, case):
         "nan-and-saturating": [[np.nan, big]],
     }[case]
     m = Matrix(raw, mode)
-    assert m.overflow == saturates(np.array(raw), mode)
+    # the full scan: some finite entry rounds to an infinity
+    assert m.overflow == bool(np.any(np.isinf(round_array(raw, mode)) & np.isfinite(raw)))
     assert m.overflow == (case in ("saturating", "nan-and-saturating"))
 
 

@@ -443,12 +443,17 @@ def test_run_non_finite_parameter_exits_1_without_output(tmp_path, monkeypatch, 
     (["bench", "--layers", "0"], "need num_layers >= 1 and hidden_dim >= 1"),
     (["bench", "--ratios", "0,0.5,0.5"], "split 14 edges into 0 for training"),
     (["bench", "--models", "shgcn,bogus"], "unknown model 'bogus'"),
+    (["bench", "--models", "gcn,shgcn,gcn"],
+     "bench compares distinct model kinds, got gcn,shgcn,gcn"),
     (["run", "--task", "gr", "--synthetic", "erdos:10,2.0,0"],
      "bad erdos template 'erdos:10,2.0,0': need n >= 2 and p in [0, 1]"),
     (["run", "--task", "gr", "--synthetic", "erdos:0,0.2,0"],
      "bad erdos template 'erdos:0,0.2,0': need n >= 2 and p in [0, 1]"),
     (["run", "--task", "gr", "--synthetic", "erdos:1,0.5,0"],
      "bad erdos template 'erdos:1,0.5,0': need n >= 2 and p in [0, 1]"),
+    (["run", "--task", "gr", "--synthetic", "erdos:12,0.3,notaseed"],
+     "bad erdos template 'erdos:12,0.3,notaseed': need n >= 2 and p in [0, 1], "
+     "and an integer seed"),
     (["run", "--lr", "-1"], "lr must be positive and finite, got -1"),
     (["run", "--lr", "nan"], "lr must be positive and finite, got nan"),
     (["run", "--patience", "0"], "patience must be at least 1, got 0"),

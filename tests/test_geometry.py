@@ -8,7 +8,6 @@ from shgcn.geometry import (
     LorentzPoint,
     PoincarePoint,
     TangentVector,
-    conformal_factor,
     exp0,
     exp0_array,
     log0,
@@ -294,9 +293,7 @@ def test_lorentz_dist0_recovers_tangent_norm():
 
 
 def test_lorentz_dist0_zero_at_origin():
-    from shgcn.geometry import lorentz_origin
-
-    assert lorentz_dist0(lorentz_origin(1.0)) == 0.0
+    assert lorentz_dist0(LorentzPoint([1.0, 0.0], 1.0)) == 0.0
 
 
 def reference_lorentz_dist0(x: LorentzPoint, mode: Precision) -> float:
@@ -367,10 +364,6 @@ def test_minkowski_inner_formula():
 def test_point_outside_ball_rejected():
     with pytest.raises(ValueError):
         PoincarePoint([1.5, 0.0], 1.0)
-
-
-def test_conformal_factor_at_origin():
-    assert conformal_factor(PoincarePoint([0.0, 0.0], 1.0)) == 2.0
 
 
 def test_lorentz_needs_positive_first_coordinate():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shgcn.precision import Precision, round_array, round_to_precision, saturates
+from shgcn.precision import Precision, round_array, round_to_precision
 
 HALF = Precision.HALF
 SINGLE = Precision.SINGLE
@@ -46,8 +46,8 @@ def test_epsilon_is_the_table_as_python_floats():
 def test_overflow_saturates_to_infinity():
     assert round_to_precision(1e6, HALF) == np.inf
     assert round_to_precision(-1e6, HALF) == -np.inf
-    assert saturates(np.array([1e6]), HALF)
-    assert not saturates(np.array([1e6]), SINGLE)
+    assert np.array_equal(round_array(np.array([1e6, 1.0]), HALF), [np.inf, 1.0])
+    assert np.array_equal(round_array(np.array([1e6, 1.0]), SINGLE), [1e6, 1.0])
 
 
 def test_nan_passes_through():

@@ -213,14 +213,15 @@ def test_epoch_records_have_positive_time(small_tree_setup):
     graph, split = small_tree_setup
     config = ModelConfig(layer_kind="gcn", num_layers=1, hidden_dim=4)
     result = train_model(config, graph, split, task="lp", seed=0, epochs=3)
-    assert all(isinstance(r, EpochRecord) and r.wall_time_seconds > 0
-               for r in result.records)
+    assert all(isinstance(r, EpochRecord) for r in result.records)
+    assert len(result.epoch_times) == 3 and np.all(result.epoch_times > 0)
 
 
 def test_node_classification_runs(small_tree_setup):
     graph, _ = small_tree_setup
     config = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=8)
-    result = train_model(config, graph, None, task="nc", seed=0, epochs=30)
+    result = train_model(config, graph, split_nodes(graph.n, (0.85, 0.05, 0.10), 0),
+                         task="nc", seed=0, epochs=30)
     assert 0.0 <= result.test_metrics["accuracy"] <= 1.0
     assert "f1" in result.test_metrics
 
@@ -331,12 +332,11 @@ def reference_link_prediction(config, graph, split, seed=0, epochs=200, patience
         tape.backward(loss)
         new_params = adam_step(opt, model.parameters(), _grads_of(nodes))
         model.set_parameters(new_params)
-        elapsed = time.perf_counter() - start
-        times.append(elapsed)
+        times.append(time.perf_counter() - start)
 
         val = _ref_lp_eval(model, adj, graph.features, split.val_pos, split.val_neg,
                            decoder, mode)
-        records.append(EpochRecord(epoch, loss.item(), val, elapsed))
+        records.append(EpochRecord(epoch, loss.item(), val))
         if np.isfinite(val):
             if val > best_val:
                 best_val, best_params, stale = val, copy.deepcopy(new_params), 0
@@ -353,11 +353,8 @@ def reference_link_prediction(config, graph, split, seed=0, epochs=200, patience
     return TrainResult(best_params, records, {"auc": test_auc}, np.asarray(times))
 
 
-def reference_node_classification(config, graph, node_split=None, seed=0, epochs=200,
-                                  patience=100, lr=0.01, ratios=(0.85, 0.05, 0.10),
-                                  mode=Precision.DOUBLE):
-    if node_split is None:
-        node_split = split_nodes(graph.n, ratios, seed)
+def reference_node_classification(config, graph, node_split, seed=0, epochs=200,
+                                  patience=100, lr=0.01, mode=Precision.DOUBLE):
     train_idx, val_idx, test_idx = node_split
     num_classes = int(graph.labels.max()) + 1
     adj = normalized_adjacency(graph)
@@ -392,8 +389,7 @@ def reference_node_classification(config, graph, node_split=None, seed=0, epochs
         params = {**model.parameters(), **head.parameters()}
         new_params = adam_step(opt, params, _grads_of(nodes))
         set_all(new_params)
-        elapsed = time.perf_counter() - start
-        times.append(elapsed)
+        times.append(time.perf_counter() - start)
 
         preds = predict()
         val = (
@@ -401,7 +397,7 @@ def reference_node_classification(config, graph, node_split=None, seed=0, epochs
             if len(val_idx)
             else float("nan")
         )
-        records.append(EpochRecord(epoch, loss.item(), val, elapsed))
+        records.append(EpochRecord(epoch, loss.item(), val))
         if np.isfinite(val):
             if val > best_val:
                 best_val, best_params, stale = val, copy.deepcopy(new_params), 0
@@ -455,8 +451,7 @@ def reference_graph_regression(config, graphs, seed=0, epochs=200, patience=100,
         params = {**model.parameters(), **head.parameters()}
         new_params = adam_step(opt, params, _grads_of(nodes))
         set_all(new_params)
-        elapsed = time.perf_counter() - start
-        times.append(elapsed)
+        times.append(time.perf_counter() - start)
 
         preds = predictions()
         val = (
@@ -464,7 +459,7 @@ def reference_graph_regression(config, graphs, seed=0, epochs=200, patience=100,
             if len(val_g)
             else float("nan")
         )
-        records.append(EpochRecord(epoch, loss.item(), val, elapsed))
+        records.append(EpochRecord(epoch, loss.item(), val))
         if np.isfinite(val):
             if val < best_val:
                 best_val, best_params, stale = val, copy.deepcopy(new_params), 0
@@ -542,11 +537,12 @@ def test_link_prediction_matches_reference_in_half_precision(small_tree_setup):
 @pytest.mark.parametrize("kind", ["shgcn", "gcn"])
 def test_node_classification_matches_reference(small_tree_setup, kind, dropout):
     graph, _ = small_tree_setup
+    node_split = split_nodes(graph.n, (0.85, 0.05, 0.10), 0)
     config = ModelConfig(layer_kind=kind, num_layers=2, hidden_dim=8, dropout=dropout)
     for patience in (0, 2, 100):
         kw = dict(seed=0, epochs=15, patience=patience, lr=0.02, mode=Precision.SINGLE)
-        assert_same_trajectory(train_node_classification(config, graph, **kw),
-                               reference_node_classification(config, graph, **kw))
+        assert_same_trajectory(train_node_classification(config, graph, node_split, **kw),
+                               reference_node_classification(config, graph, node_split, **kw))
 
 
 @pytest.mark.parametrize("kind", ["shgcn", "hgcn-agg0"])
@@ -591,7 +587,8 @@ def test_released_backward_keeps_trajectories_bit_identical(small_tree_setup, mo
         if task == "gr":
             return train_graph_regression(config, regression_family(), **kw)
         if task == "nc":
-            return train_node_classification(config, graph, **kw)
+            return train_node_classification(
+                config, graph, split_nodes(graph.n, (0.85, 0.05, 0.10), 1), **kw)
         return train_link_prediction(config, graph, split, **kw)
 
     original, releases = Tape.backward, []
@@ -678,7 +675,8 @@ def test_non_finite_parameter_stops_training(small_tree_setup, monkeypatch, task
         if task == "gr":
             train_graph_regression(config, regression_family(), seed=0, epochs=6)
         else:
-            train_model(config, graph, split if task == "lp" else None, task=task,
+            train_model(config, graph, split if task == "lp" else
+                        split_nodes(graph.n, (0.85, 0.05, 0.10), 0), task=task,
                         seed=0, epochs=6)
 
 
