@@ -147,9 +147,6 @@ class Node:
     def __add__(self, other):
         return add(self, self._wrap(other))
 
-    def __radd__(self, other):
-        return add(self._wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, self._wrap(other))
 
@@ -164,9 +161,6 @@ class Node:
 
     def __truediv__(self, other):
         return div(self, self._wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(self._wrap(other), self)
 
     def __neg__(self):
         return mul(self, self.tape.constant(-1.0, mode=self.mode))
@@ -293,8 +287,6 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a gradient down to the shape of a broadcast operand."""
-    if g.shape == tuple(shape):
-        return g
     for axis, size in enumerate(shape):
         if size == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -415,12 +407,11 @@ def row_norm(a: Node) -> Node:
 
 
 def _elementwise(a: Node, fn, dfn) -> Node:
-    raw = fn(a.data)
-    return _record(raw, (a,), lambda g: g * dfn(a.data, raw))
+    return _record(fn(a.data), (a,), lambda g: g * dfn(a.data))
 
 
 def tanh(a: Node) -> Node:
-    return _elementwise(a, np.tanh, lambda x, y: 1.0 - np.tanh(x) ** 2)
+    return _elementwise(a, np.tanh, lambda x: 1.0 - np.tanh(x) ** 2)
 
 
 def arctanh(a: Node) -> Node:
@@ -428,18 +419,18 @@ def arctanh(a: Node) -> Node:
         raise BoundaryCollapseError(
             f"arctanh domain violated: max |x| = {np.max(np.abs(a.data))}"
         )
-    return _elementwise(a, np.arctanh, lambda x, y: 1.0 / (1.0 - x * x))
+    return _elementwise(a, np.arctanh, lambda x: 1.0 / (1.0 - x * x))
 
 
 def relu(a: Node) -> Node:
-    return _elementwise(a, lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0).astype(np.float64))
+    return _elementwise(a, lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(np.float64))
 
 
 def softplus(a: Node) -> Node:
     return _elementwise(
         a,
         lambda x: np.logaddexp(0.0, x),
-        lambda x, y: 1.0 / (1.0 + np.exp(-x)),
+        lambda x: 1.0 / (1.0 + np.exp(-x)),
     )
 
 
@@ -454,7 +445,7 @@ def exp(a: Node) -> Node:
 
 
 def log(a: Node) -> Node:
-    return _elementwise(a, np.log, lambda x, y: 1.0 / x)
+    return _elementwise(a, np.log, lambda x: 1.0 / x)
 
 
 def sqrt(a: Node) -> Node:
@@ -471,7 +462,7 @@ def _tanhc_raw(x):
 def tanhc(a: Node) -> Node:
     """tanh(x)/x extended by continuity to 1 at x = 0."""
 
-    def dfn(x, y):
+    def dfn(x):
         small = np.abs(x) < 1e-6
         safe = np.where(small, 1.0, x)
         t = np.tanh(safe)
@@ -494,7 +485,7 @@ def artanhc(a: Node) -> Node:
             f"arctanh domain violated: max |x| = {np.max(np.abs(a.data))}"
         )
 
-    def dfn(x, y):
+    def dfn(x):
         small = np.abs(x) < 1e-6
         safe = np.where(small, 0.5, x)
         main = (safe / (1.0 - safe * safe) - np.arctanh(safe)) / (safe * safe)

@@ -218,6 +218,15 @@ def _check_split(count: int, ratios, items: str, need_test: bool = True) -> None
                        f"for training and {n_test} for testing; each needs at least one")
 
 
+def _check_negatives(graph: Graph, ratios) -> None:
+    """Refuse a link-prediction graph with fewer non-edges than the largest
+    split part: training draws that many negatives every epoch."""
+    free = graph.n * (graph.n - 1) // 2 - graph.num_edges
+    if free < (need := max(split_sizes(graph.num_edges, ratios))):
+        raise CliError(f"graph too dense for link prediction: {free} non-edges for the "
+                       f"{need} negatives that the largest split part draws")
+
+
 def _load_dataset(args) -> Graph:
     if args.synthetic and args.edges:
         raise CliError("give either --synthetic or --edges, not both")
@@ -282,6 +291,8 @@ def cmd_run(args) -> int:
     count, items = ((cfg["count"], "graphs") if cfg["task"] == "gr" else
                     (graph.num_edges, "edges") if cfg["task"] == "lp" else (graph.n, "nodes"))
     _check_split(count, ratios, items)
+    if cfg["task"] == "lp":
+        _check_negatives(graph, ratios)
     per_seed = []
     for seed in cfg["seeds"]:
         if cfg["task"] == "gr":
@@ -298,20 +309,17 @@ def cmd_run(args) -> int:
                 epochs=cfg["epochs"], patience=cfg["patience"], lr=cfg["lr"],
                 decoder=decoder, mode=mode,
             )
-        entry = {"seed": seed, "metrics": result.test_metrics,
-                 "epochs_run": len(result.records)}
-        if len(result.epoch_times):
-            entry["epoch_time_mean"] = float(result.epoch_times.mean())
-        per_seed.append(entry)
+        per_seed.append({"seed": seed, "metrics": result.test_metrics,
+                         "epochs_run": len(result.records),
+                         "epoch_time_mean": float(result.epoch_times.mean())})
 
     summary = {}
     for name in sorted(per_seed[0]["metrics"]):
         vals = np.array([e["metrics"][name] for e in per_seed], dtype=np.float64)
         summary[name] = {"mean": float(vals.mean()),
                          "std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0}
-    times = np.array([e.get("epoch_time_mean", np.nan) for e in per_seed])
-    timing = {"epoch_time_mean": float(np.nanmean(times)),
-              "epoch_time_std": float(np.nanstd(times))}
+    times = np.array([e["epoch_time_mean"] for e in per_seed])
+    timing = {"epoch_time_mean": float(times.mean()), "epoch_time_std": float(times.std())}
     payload = {"config": resolved, "per_seed": per_seed, "summary": summary,
                "timing": timing}
 
@@ -342,6 +350,7 @@ def cmd_bench(args) -> int:
     base, decoder = _configs(cfg)
     graph = _load_dataset(args)
     _check_split(graph.num_edges, ratios, "edges", need_test=False)
+    _check_negatives(graph, ratios)
     split = split_edges(graph, ratios, args.seed)
     results = benchmark_models(
         kinds, graph, split, seed=args.seed, epochs=epochs, runs=args.runs,
@@ -350,7 +359,7 @@ def cmd_bench(args) -> int:
 
     speedups = {}
     subject = results[-1]
-    for r in results:
+    for r in results[:-1]:
         ratio, lo, hi = speedup_with_ci(r, subject)
         speedups[f"{r.kind}_vs_{subject.kind}"] = {
             "speedup": ratio, "ci95_low": lo, "ci95_high": hi,

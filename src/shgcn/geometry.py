@@ -106,14 +106,8 @@ class LorentzPoint:
         if self.K <= 0:
             raise ValueError(f"Lorentz curvature parameter must be > 0, got {self.K}")
 
-    def validate(self, tol: float = 1e-9) -> None:
-        inner = minkowski_inner(self.coords, self.coords)
-        if not math.isfinite(inner):
-            raise PrecisionOverflowError("Minkowski self-product is not finite")
-        if abs(inner + self.K) > tol * self.K:
-            raise ValueError(
-                f"hyperboloid constraint violated: <x,x>_L = {inner}, expected {-self.K}"
-            )
+    def validate(self) -> None:
+        _check_membership(self, Precision.DOUBLE)
         if self.coords[0] <= 0:
             raise ValueError("first Lorentz coordinate must be positive")
 
@@ -319,6 +313,20 @@ def minkowski_inner(x, y, mode: Precision = Precision.DOUBLE) -> float:
         return float(r(-2.0 * prods[0] + prods.sum()))
 
 
+def _check_membership(x: LorentzPoint, mode: Precision) -> None:
+    """Raise unless |<x,x>_L + K| <= K max(1e-9, 64 eps max(1, x0^2/K)), eps
+    the mode's rounding unit: the self-product cancels terms of size x0^2.  A
+    saturated product (in half the squares overflow long before x0) is a collapse."""
+    inner = minkowski_inner(x.coords, x.coords, mode)
+    if not math.isfinite(inner):
+        raise PrecisionOverflowError(
+            "Minkowski self-product saturated under the active rounding mode"
+        )
+    tol = max(1e-9, 64.0 * mode.epsilon * max(1.0, float(x.coords[0]) ** 2 / x.K))
+    if abs(inner + x.K) > tol * x.K:
+        raise ValueError(f"not a hyperboloid point: <x,x>_L = {inner}")
+
+
 def lorentz_exp0_array(v, K: float, mode: Precision = Precision.DOUBLE) -> np.ndarray:
     """Exponential map at the north pole (sqrt(K), 0, ..., 0):
 
@@ -350,20 +358,11 @@ def lorentz_exp0(v, K: float = 1.0, mode: Precision = Precision.DOUBLE) -> Loren
 
 def lorentz_dist0(x: LorentzPoint, mode: Precision = Precision.DOUBLE) -> float:
     """arccosh(-<o, x>_L) = arccosh(x0), the distance from the north pole o
-    in the K = 1 convention.  Validates hyperboloid membership in the active
-    mode first: in half precision the squared coordinates overflow well
-    before the coordinates themselves do, and that saturation is reported
-    as collapse."""
+    in the K = 1 convention.  Checks hyperboloid membership in the active
+    mode first."""
     if x.K != 1.0:
         raise ValueError("distance-from-origin probe uses the K = 1 convention")
-    inner = minkowski_inner(x.coords, x.coords, mode)
-    if not math.isfinite(inner):
-        raise PrecisionOverflowError(
-            "Minkowski self-product saturated under the active rounding mode"
-        )
-    tol = max(1e-9, 64.0 * mode.epsilon * max(1.0, float(x.coords[0]) ** 2))
-    if abs(inner + x.K) > tol * x.K:
-        raise ValueError(f"not a hyperboloid point: <x,x>_L = {inner}")
+    _check_membership(x, mode)
     arg = float(round_array(x.coords[0], mode))
     if arg < 1.0 - 1e-9:
         raise ValueError(f"arccosh argument {arg} < 1")

@@ -168,7 +168,7 @@ def split_sizes(count: int, ratios) -> tuple[int, int, int]:
     return count - n_val - n_test, n_val, n_test
 
 
-def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit:
+def split_edges(g: Graph, ratios, seed: int = 0) -> EdgeSplit:
     """Deterministic shuffle split of the edge set into train/val/test plus
     matched negative samples for val and test.
 
@@ -218,7 +218,7 @@ def graph_from_train_edges(g: Graph, split: EdgeSplit) -> Graph:
     return Graph(g.n, split.train_pos, g.features, g.labels, g.graph_target)
 
 
-def split_nodes(n: int, ratios=(0.85, 0.05, 0.10), seed: int = 0):
+def split_nodes(n: int, ratios, seed: int = 0):
     """Node-level split for classification tasks."""
     n_train, n_val, _ = split_sizes(n, ratios)
     order = np.random.default_rng(seed).permutation(n)

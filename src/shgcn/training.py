@@ -150,17 +150,18 @@ def _check_finite(epoch: int, loss: float, stepped: dict) -> None:
                 f"epoch {epoch}: parameter {name!r} is not finite after the Adam step")
 
 
-def _fit(model: GraphModel, head, forward, loss_of, val_of, *, higher_is_better: bool,
-         seed: int, epochs: int, patience: int, lr: float):
+def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_is_better: bool,
+         seed: int, epochs: int, patience: int, lr: float) -> TrainResult:
     """The epoch loop of every trainer: Adam, early stopping on a validation
-    metric and per-epoch records.  `forward(dropout_rng)` runs the model (and
-    head) on a new tape and returns the output and parameter nodes,
-    `loss_of(out)` builds the loss on that tape and `val_of(matrix)` scores
-    an evaluation output.  Backward runs with `release=True`: each intermediate gradient buffer is
+    metric, per-epoch records and the test evaluation.  `forward(dropout_rng)`
+    runs the model (and head) on a new tape and returns the output and
+    parameter nodes, `loss_of(out)` builds the loss on that tape, and
+    `val_of(matrix)` and `test_of(matrix)` score an evaluation output.
+    Backward runs with `release=True`: each intermediate gradient buffer is
     freed once its rule has run, and only the parameter nodes keep theirs.
-    Returns (best params, records, epoch times) with the best params set.
-    Raises NonFiniteError when the loss or a stepped parameter is not
-    finite."""
+    The best params are set before one dropout-free forward goes to
+    `test_of`.  Raises NonFiniteError when the loss or a stepped parameter
+    is not finite."""
     modules = [model] if head is None else [model, head]
 
     def params() -> dict:
@@ -213,7 +214,7 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, *, higher_is_better:
             validate(*pending, forward(None)[0])
 
     set_params(best_params)
-    return best_params, records, np.asarray(times)
+    return TrainResult(best_params, records, test_of(forward(None)[0].value), np.asarray(times))
 
 
 def _lp_auc(z: Matrix, pos, neg, decoder: DecoderConfig) -> float:
@@ -248,13 +249,12 @@ def train_link_prediction(config: ModelConfig, graph: Graph, split: EdgeSplit,
         neg = fermi_dirac_edge_scores(z, train_neg, decoder.r, decoder.t)
         return lp_loss(pos, neg)
 
-    best_params, records, times = _fit(
+    return _fit(
         model, None, forward, loss_of,
         lambda z: _lp_auc(z, split.val_pos, split.val_neg, decoder),
+        lambda z: {"auc": _lp_auc(z, split.test_pos, split.test_neg, decoder)},
         higher_is_better=True, seed=seed, epochs=epochs, patience=patience, lr=lr,
     )
-    test_auc = _lp_auc(forward(None)[0].value, split.test_pos, split.test_neg, decoder)
-    return TrainResult(best_params, records, {"auc": test_auc}, times)
 
 
 def train_node_classification(config: ModelConfig, graph: Graph, node_split,
@@ -287,14 +287,15 @@ def train_node_classification(config: ModelConfig, graph: Graph, node_split,
         preds = logits.data.argmax(axis=1)
         return float(np.mean(preds[val_idx] == graph.labels[val_idx]))
 
-    best_params, records, times = _fit(
-        model, head, forward, loss_of, accuracy,
+    def test_metrics(logits: Matrix) -> dict:
+        preds = logits.data.argmax(axis=1)
+        average = "binary" if num_classes == 2 else "macro"
+        return classification_metrics(preds[test_idx], graph.labels[test_idx], average)
+
+    return _fit(
+        model, head, forward, loss_of, accuracy, test_metrics,
         higher_is_better=True, seed=seed, epochs=epochs, patience=patience, lr=lr,
     )
-    preds = forward(None)[0].data.argmax(axis=1)
-    average = "binary" if num_classes == 2 else "macro"
-    metrics = classification_metrics(preds[test_idx], graph.labels[test_idx], average)
-    return TrainResult(best_params, records, metrics, times)
 
 
 def _disjoint_union(graphs: list[Graph]):
@@ -339,13 +340,12 @@ def train_graph_regression(config: ModelConfig, graphs: list[Graph],
             return float("nan")
         return mean_absolute_error(pred.data.reshape(-1)[val_g], targets[val_g])
 
-    best_params, records, times = _fit(
+    return _fit(
         model, head, forward, loss_of, val_mae,
+        lambda pred: {"mae": mean_absolute_error(pred.data.reshape(-1)[test_g],
+                                                 targets[test_g])},
         higher_is_better=False, seed=seed, epochs=epochs, patience=patience, lr=lr,
     )
-    preds = forward(None)[0].data.reshape(-1)
-    metrics = {"mae": mean_absolute_error(preds[test_g], targets[test_g])}
-    return TrainResult(best_params, records, metrics, times)
 
 
 def train_model(config: ModelConfig, graph: Graph, split, task: str = "lp",

@@ -266,6 +266,7 @@ def test_bench_two_models(tmp_path, monkeypatch, capsys):
     assert code == 0
     report = read_report(out_dir)
     assert "hgcn-agg0_vs_shgcn" in report["summary"]
+    assert set(report["summary"]) == {"hgcn-agg0_vs_shgcn"}
     assert "speedup" in out
 
 
@@ -454,6 +455,9 @@ def test_run_non_finite_parameter_exits_1_without_output(tmp_path, monkeypatch, 
     (["run", "--task", "gr", "--synthetic", "erdos:12,0.3,notaseed"],
      "bad erdos template 'erdos:12,0.3,notaseed': need n >= 2 and p in [0, 1], "
      "and an integer seed"),
+    (["run", "--synthetic", "erdos:5,1.0,0"],
+     "graph too dense for link prediction: 0 non-edges for the 9 negatives"),
+    (["run", "--synthetic", "erdos:6,0.95,0"], "graph too dense for link prediction"),
     (["run", "--lr", "-1"], "lr must be positive and finite, got -1"),
     (["run", "--lr", "nan"], "lr must be positive and finite, got nan"),
     (["run", "--patience", "0"], "patience must be at least 1, got 0"),

@@ -283,6 +283,23 @@ def test_lorentz_membership(K):
         p.validate()
 
 
+@pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+def test_validate_accepts_every_exp0_point_to_norm_30(K):
+    # the self-product cancels terms of size x0^2, so a fixed bound on
+    # |<x,x>_L + K| refuses exp0's own points once x0^2 is large
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        v = rng.standard_normal(4)
+        v *= rng.uniform(0.0, 30.0) / np.linalg.norm(v)
+        lorentz_exp0(v, K=K).validate()
+
+
+@pytest.mark.parametrize("coords", [[2.0, 0.0], [1.0, 0.5], [3.0, 1.0, 1.0]])
+def test_validate_refuses_points_off_the_hyperboloid(coords):
+    with pytest.raises(ValueError, match="not a hyperboloid point"):
+        LorentzPoint(coords, 1.0).validate()
+
+
 def test_lorentz_dist0_recovers_tangent_norm():
     rng = np.random.default_rng(9)
     for _ in range(100):
