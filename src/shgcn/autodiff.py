@@ -58,10 +58,10 @@ from .precision import Precision, round_array
 
 class Matrix:
     """Immutable 2-D value.  Stored entries are already rounded to `mode`,
-    so re-rounding is a no-op.  `overflow` records whether rounding
-    saturated a finite input entry to infinity."""
+    so re-rounding is a no-op; a finite entry beyond the mode's range is
+    stored as an infinity."""
 
-    __slots__ = ("data", "mode", "overflow")
+    __slots__ = ("data", "mode")
 
     def __init__(self, data, mode: Precision = Precision.DOUBLE):
         raw = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -79,18 +79,11 @@ class Matrix:
         return m
 
     def _freeze(self, raw: np.ndarray, mode: Precision) -> None:
-        if mode is Precision.DOUBLE:
-            # rounding to double is the identity and cannot saturate
-            rounded, overflow = raw, False
-        else:
-            rounded = round_array(raw, mode)
-            # saturation leaves an infinity, so an all-finite result has none
-            overflow = not np.isfinite(rounded).all() and bool(
-                np.any(np.isinf(rounded) & np.isfinite(raw)))
+        # rounding to double is the identity
+        rounded = raw if mode is Precision.DOUBLE else round_array(raw, mode)
         rounded.setflags(write=False)
         object.__setattr__(self, "data", rounded)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "overflow", overflow)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")

@@ -102,6 +102,10 @@ def _seeds(raw) -> list[int]:
              if s != ""]
     if not seeds:
         raise CliError("need at least one seed")
+    if min(seeds) < 0:
+        raise CliError(f"seeds must be non-negative, got {min(seeds)}")
+    if len(set(seeds)) < len(seeds):
+        raise CliError(f"seeds must be distinct, got {','.join(map(str, seeds))}")
     return seeds
 
 
@@ -278,7 +282,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         if args.seeds is not None:
             raise CliError("give either --seed or --seeds, not both")
-        cfg["seeds"] = [args.seed]
+        cfg["seeds"] = _parse("seeds", [args.seed])
     mode, ratios = Precision(cfg["precision"]), cfg["ratios"]
     if mode is Precision.HALF:
         raise CliError("training runs support single/double only; half is a forward probe mode")
@@ -313,13 +317,14 @@ def cmd_run(args) -> int:
                          "epochs_run": len(result.records),
                          "epoch_time_mean": float(result.epoch_times.mean())})
 
-    summary = {}
-    for name in sorted(per_seed[0]["metrics"]):
-        vals = np.array([e["metrics"][name] for e in per_seed], dtype=np.float64)
-        summary[name] = {"mean": float(vals.mean()),
-                         "std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0}
-    times = np.array([e["epoch_time_mean"] for e in per_seed])
-    timing = {"epoch_time_mean": float(times.mean()), "epoch_time_std": float(times.std())}
+    def mean_std(vals: list) -> dict:  # the sample std (ddof=1); 0.0 for one seed
+        return {"mean": float(np.mean(vals)),
+                "std": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0}
+
+    summary = {name: mean_std([e["metrics"][name] for e in per_seed])
+               for name in sorted(per_seed[0]["metrics"])}
+    times = mean_std([e["epoch_time_mean"] for e in per_seed])
+    timing = {"epoch_time_mean": times["mean"], "epoch_time_std": times["std"]}
     payload = {"config": resolved, "per_seed": per_seed, "summary": summary,
                "timing": timing}
 
@@ -339,6 +344,7 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _resolve(args, BENCH_KEYS, epochs=BENCH_EPOCHS)
+    seed = _parse("seeds", [args.seed])[0]
     kinds = [_parse("model", k.strip()) for k in args.models.split(",") if k.strip()]
     if len(kinds) < 2:
         raise CliError("bench needs at least two model kinds (--models a,b)")
@@ -351,9 +357,9 @@ def cmd_bench(args) -> int:
     graph = _load_dataset(args)
     _check_split(graph.num_edges, ratios, "edges", need_test=False)
     _check_negatives(graph, ratios)
-    split = split_edges(graph, ratios, args.seed)
+    split = split_edges(graph, ratios, seed)
     results = benchmark_models(
-        kinds, graph, split, seed=args.seed, epochs=epochs, runs=args.runs,
+        kinds, graph, split, seed=seed, epochs=epochs, runs=args.runs,
         config_base=base, decoder=decoder, lr=cfg["lr"],
     )
 
@@ -365,7 +371,7 @@ def cmd_bench(args) -> int:
             "speedup": ratio, "ci95_low": lo, "ci95_high": hi,
         }
     payload = {
-        "config": {**cfg, "models": kinds, "runs": args.runs, "seed": args.seed,
+        "config": {**cfg, "models": kinds, "runs": args.runs, "seed": seed,
                    "dataset": args.synthetic or args.edges, "version": __version__},
         "per_seed": [{"model": r.kind, "epoch_time_mean": r.mean, "epoch_time_se": r.se,
                       "epochs_timed": len(r.times)} for r in results],

@@ -8,7 +8,6 @@ forward, negatives, backward and step; validation stays outside it."""
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import time
 
@@ -177,7 +176,7 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
     records: list[EpochRecord] = []
     times = []
     best_val = -np.inf if higher_is_better else np.inf
-    best_params, stale = copy.deepcopy(params()), 0
+    best_params, stale = params(), 0
 
     def validate(loss: float, stepped: dict, out: Node) -> bool:
         """Record the oldest unvalidated epoch; True once patience runs out."""
@@ -185,9 +184,9 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
         val = val_of(out.value)
         records.append(EpochRecord(len(records), loss, val))
         if not np.isfinite(val):
-            best_params = copy.deepcopy(stepped)
+            best_params = stepped
         elif val > best_val if higher_is_better else val < best_val:
-            best_val, best_params, stale = val, copy.deepcopy(stepped), 0
+            best_val, best_params, stale = val, stepped, 0
         else:
             stale += 1
             return stale >= patience

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from shgcn import autodiff as ad
 from shgcn.autodiff import Matrix, Tape, finite_diff_grad
 from shgcn.errors import BoundaryCollapseError, ShapeError
-from shgcn.precision import Precision, round_array
+from shgcn.precision import Precision
 
 
 def rel_err(a, b):
@@ -23,13 +23,6 @@ def rel_err(a, b):
 def test_matrix_rounds_on_construction():
     m = Matrix([[1.0 + 4e-4]], Precision.HALF)
     assert m.data[0, 0] == 1.0
-    assert not m.overflow
-
-
-def test_matrix_overflow_flag():
-    m = Matrix([[1e6]], Precision.HALF)
-    assert np.isinf(m.data[0, 0])
-    assert m.overflow
 
 
 def test_matrix_immutable():
@@ -624,18 +617,15 @@ def test_minimum_sends_nothing_to_an_operand_it_never_routes_to(low_side):
 
 @pytest.mark.parametrize("mode,big", [(Precision.HALF, 1e6), (Precision.SINGLE, 1e39)])
 @pytest.mark.parametrize("case", ["finite", "saturating", "nan", "inf", "nan-and-saturating"])
-def test_matrix_overflow_flag_matches_the_full_scan(mode, big, case):
-    raw = {
-        "finite": [[1.0, -2.5]],
-        "saturating": [[1.0, -big]],
-        "nan": [[np.nan, 1.0]],
-        "inf": [[np.inf, 1.0]],
-        "nan-and-saturating": [[np.nan, big]],
+def test_matrix_saturates_to_infinity(mode, big, case):
+    raw, stored = {
+        "finite": ([[1.0, -2.5]], [[1.0, -2.5]]),
+        "saturating": ([[big, -big]], [[np.inf, -np.inf]]),
+        "nan": ([[np.nan, 1.0]], [[np.nan, 1.0]]),
+        "inf": ([[np.inf, 1.0]], [[np.inf, 1.0]]),
+        "nan-and-saturating": ([[np.nan, big]], [[np.nan, np.inf]]),
     }[case]
-    m = Matrix(raw, mode)
-    # the full scan: some finite entry rounds to an infinity
-    assert m.overflow == bool(np.any(np.isinf(round_array(raw, mode)) & np.isfinite(raw)))
-    assert m.overflow == (case in ("saturating", "nan-and-saturating"))
+    assert np.array_equal(Matrix(raw, mode).data, stored, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,26 @@ def test_run_loads_the_dataset_once_for_all_seeds(tmp_path, monkeypatch, capsys)
         assert alone["epochs_run"] == entry["epochs_run"]
 
 
+def test_run_reports_the_sample_std_of_metrics_and_epoch_times(tmp_path, monkeypatch,
+                                                                capsys):
+    args = ["run", "--synthetic", "tree:2,3", "--epochs", "5", "--dim", "4"]
+    for seeds in ("0,1,2", "3"):
+        out_dir = tmp_path / seeds
+        code, _, _ = run_cli(args + ["--seeds", seeds, "--out", str(out_dir)],
+                             tmp_path, monkeypatch, capsys)
+        assert code == 0
+        report = read_report(out_dir)
+        aucs = [e["metrics"]["auc"] for e in report["per_seed"]]
+        times = [e["epoch_time_mean"] for e in report["per_seed"]]
+        if len(aucs) > 1:  # ddof=1, the sample std
+            assert report["summary"]["auc"]["std"] == float(np.std(aucs, ddof=1))
+            assert report["timing"]["epoch_time_std"] == float(np.std(times, ddof=1))
+            assert report["timing"]["epoch_time_std"] > float(np.std(times))
+        else:
+            assert report["summary"]["auc"]["std"] == 0.0
+            assert report["timing"]["epoch_time_std"] == 0.0
+
+
 def test_report_metrics_reproducible(tmp_path, monkeypatch, capsys):
     args = ["run", "--synthetic", "tree:2,3", "--seeds", "1", "--epochs", "8",
             "--dim", "4"]
@@ -432,6 +452,12 @@ def test_run_non_finite_parameter_exits_1_without_output(tmp_path, monkeypatch, 
     (["run", "--decoder-t", "0"], "temperature t must be positive and finite"),
     (["run", "--curvature", "0"], "init_curvature must be positive and finite"),
     (["run", "--seeds", "a"], "seeds must be integers, got 'a'"),
+    (["run", "--seeds", "-1"], "seeds must be non-negative, got -1"),
+    (["run", "--seed", "-1"], "seeds must be non-negative, got -1"),
+    (["bench", "--seed", "-1"], "seeds must be non-negative, got -1"),
+    (["run", "--task", "gr", "--synthetic", "erdos:12,0.3,0", "--seeds", "-5"],
+     "seeds must be non-negative, got -5"),
+    (["run", "--seeds", "0,0"], "seeds must be distinct, got 0,0"),
     (["run", "--epochs", "0"], "epochs must be at least 1, got 0"),
     (["run", "--ratios", "1,0,0"], "split 14 edges into 14 for training and 0 for testing"),
     (["run", "--task", "nc", "--ratios", "1,0,0"],
