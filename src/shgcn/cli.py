@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     hyp = sub.add_parser("hyperbolicity", help="exact Gromov delta of a graph")
     _add_dataset_flags(hyp)
     hyp.add_argument("--cap", type=int, default=DELTA_NODE_CAP,
-                     help="refuse graphs larger than this (the algorithm is n^4)")
+                     help="refuse graphs larger than this (the worst case is n^4)")
     hyp.add_argument("--out")
     hyp.set_defaults(func=cmd_hyperbolicity)
     return parser

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 import warnings
 
 import numpy as np
@@ -12,8 +13,13 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree, shortest_path
 
 DELTA_NODE_CAP = 600
-DELTA_J_CHUNK = 32  # js per chunk of the delta search
-DELTA_K_BLOCK = 16  # ks per block of the delta search
+DELTA_J_CHUNK = 32  # js per chunk of the 4-set sweep
+DELTA_K_BLOCK = 16  # ks per block of the 4-set sweep
+DELTA_PAIR_ROWS = 128  # later pairs per block of the pair sweep
+DELTA_PAIR_COLS = 1024  # earlier pairs per tile of such a block
+# the time of one pair meeting of the pair sweep, in 4-set visits of the
+# 4-set sweep: 1.27 measured on the wheel W_301 (2-vCPU Xeon)
+DELTA_PAIR_COST = 1.3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,8 +180,9 @@ def split_edges(g: Graph, ratios, seed: int = 0) -> EdgeSplit:
 
     Tries to reserve a spanning forest inside the training fraction so the
     training graph keeps the graph's connectivity; when the forest alone
-    exceeds the training budget (trees, sparse forests) it falls back to a
-    plain split with a warning.
+    exceeds the training budget it falls back to a plain split.  The
+    fallback warns only when the graph has a cycle: a forest is its own
+    spanning forest, so no partial training set can ever hold it.
     """
     if g.num_edges == 0:
         raise ValueError("cannot split a graph with no edges")
@@ -193,10 +200,11 @@ def split_edges(g: Graph, ratios, seed: int = 0) -> EdgeSplit:
         val_idx = rest[extra : extra + n_val]
         test_idx = rest[extra + n_val :]
     else:
-        warnings.warn(
-            "spanning-forest reservation exceeds the training ratio; "
-            "falling back to a plain split (training graph may disconnect)"
-        )
+        if n_tree < m:
+            warnings.warn(
+                "spanning-forest reservation exceeds the training ratio; "
+                "falling back to a plain split (training graph may disconnect)"
+            )
         train_idx = order[:n_train]
         val_idx = order[n_train : n_train + n_val]
         test_idx = order[n_train + n_val :]
@@ -234,13 +242,6 @@ def split_nodes(n: int, ratios, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    dist = shortest_path(g.adjacency(), method="D", unweighted=True)
-    if np.any(np.isinf(dist)):
-        raise ValueError("graph is disconnected; delta-hyperbolicity undefined")
-    return dist
-
-
 def _two_core(g: Graph) -> np.ndarray:
     """Indices of the nodes left after repeatedly dropping every degree-1
     node: the 2-core, or at most one node when g is a tree."""
@@ -260,7 +261,8 @@ def delta_hyperbolicity(g: Graph, node_cap: int = DELTA_NODE_CAP) -> float:
 
     For each quadruple, the three pairwise-sum pairings S1 >= S2 >= S3 of
     the BFS distances give a contribution (S1 - S2)/2; delta is the global
-    maximum.  Theta(n^4), so refuse graphs beyond node_cap.
+    maximum.  The worst case is Theta(n^4), so refuse graphs beyond
+    node_cap.
 
     Only the 2-core is searched.  If v is a leaf with neighbour u, then in
     any quadruple holding v, v sits in exactly one distance of each of the
@@ -268,27 +270,127 @@ def delta_hyperbolicity(g: Graph, node_cap: int = DELTA_NODE_CAP) -> float:
     place: the quadruple's value is that of the quadruple with u for v, or
     zero when u is already in it.  Dropping leaves until none is left thus
     keeps delta, and shortest paths between the survivors never pass
-    through a dropped node, so the full graph's distances among them are
-    used as they are.  Trees keep at most one node and give 0.
+    through a dropped node, so BFS on the core subgraph alone gives the
+    full graph's distances among them.  Trees keep at most one node and
+    give 0 without any distance being computed.
 
-    The search walks every 4-set {i < j < k < l} of the core as i, a chunk
-    of DELTA_J_CHUNK js, a block of DELTA_K_BLOCK ks from j0 + 1 and every
-    l from the block's first k on; tuples with repeated nodes contribute
-    zero and re-orderings repeat values already covered.  Each block holds
-    DELTA_J_CHUNK x DELTA_K_BLOCK x (n - k0) int16 sums, at most about
-    0.6 MB per array at the 600-node cap, so the integer max/min passes
-    run in cache.
+    Within the core, one of two exact sweeps runs (_pair_sweep_pays picks
+    it from the core size and the number of far-apart pairs):
+    _pair_sweep over far-apart pairs by decreasing distance, which stops
+    early, or _quadruple_sweep over every 4-set.
     """
     if g.n > node_cap:
         raise ValueError(
             f"graph has {g.n} nodes, above the exact-delta cap of {node_cap}"
         )
-    dist = all_pairs_distances(g)
+    adj = g.adjacency()
+    if not _is_connected(adj):
+        raise ValueError("graph is disconnected; delta-hyperbolicity undefined")
     core = _two_core(g)
     n = len(core)
     if n < 4:
         return 0.0
-    dist = dist[np.ix_(core, core)].astype(np.int16)
+    dist = shortest_path(adj[core][:, core], method="D", unweighted=True).astype(np.int16)
+    x, y = _far_apart_pairs(dist)
+    if _pair_sweep_pays(n, len(x)):
+        best = _pair_sweep(dist, x, y)
+    else:
+        best = _quadruple_sweep(dist)
+    return best / 2.0
+
+
+def _far_apart_pairs(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs x < y of a connected graph, given its distance matrix,
+    such that no neighbour of x is farther from y and no neighbour of y is
+    farther from x."""
+    # reach[x, y]: the largest distance from y to a neighbour of x
+    reach = np.empty_like(dist)
+    for x, row in enumerate(dist):
+        reach[x] = dist[row == 1].max(axis=0)
+    far = (reach <= dist) & (reach.T <= dist)
+    return np.nonzero(np.triu(far, 1))
+
+
+def _pair_sweep_pays(n: int, pairs: int) -> bool:
+    """Whether the pair sweep over `pairs` far-apart pairs costs at most the
+    4-set sweep over n nodes, even when it never stops early."""
+    return DELTA_PAIR_COST * pairs * (pairs - 1) / 2 <= math.comb(n, 4)
+
+
+def _pair_sweep(dist: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
+    """Twice the delta of a connected graph with distance matrix dist,
+    when (x, y) are its far-apart pairs (Cohen, Coudert & Lancin, "On
+    computing the Gromov hyperbolicity", ACM JEA 2015).
+
+    Pairs go by decreasing distance, and each pair B = (x, y) meets every
+    earlier pair A = (u, v) as d(A) + d(B) - max(d(x, u) + d(y, v),
+    d(x, v) + d(y, u)).  That never exceeds the value S1 - S2 of the set
+    {u, v, x, y}, and equals it when {A, B} is its largest-sum pairing.
+    The sweep stops at the first pair B with d(B) <= best, the largest
+    S1 - S2 found so far.  Two lemmas make that exact.
+
+    Lemma 1: S1 - S2 <= min(d(A), d(B)) when {A, B} is the largest-sum
+    pairing.  By the triangle inequality through u and through v,
+    2 d(x, y) <= d(x, u) + d(u, y) + d(x, v) + d(v, y), the sum of the
+    other two pairings, which is at most 2 S2.  So d(x, y) <= S2 and
+    S1 - S2 <= d(u, v); the same steps with the pairs swapped give
+    S1 - S2 <= d(x, y).
+
+    Lemma 2: when delta > 0, some 4-set of value 2 delta has as its
+    largest-sum pairing two far-apart pairs.  Take an optimal set with
+    pairing {(x, y), (u, v)}.  If x has a neighbour x' with d(x', y) =
+    d(x, y) + 1 (or y, u or v has one, alike), put x' in x's place: S1
+    rises by 1 and each other sum, by the triangle inequality, by at most
+    1, so the value does not fall and {(x', y), (u, v)} is still the
+    largest-sum pairing.  x' is none of y, u and v, since the new set is
+    worth at least 2 delta > 0 and a set with a repeated node is worth 0.
+    Each move raises S1, which is at most twice the diameter, so after
+    finitely many moves both pairs are far-apart and the set is still
+    optimal.
+
+    So the optimum pairs two far-apart pairs; the later of them, B*, meets
+    the earlier, A*, unless the sweep stops first, at some B with d(B*) <=
+    d(B) <= best, and then by lemma 1 the optimum is at most d(B*) <=
+    best.  The sweep takes the later pairs in blocks of DELTA_PAIR_ROWS,
+    gathers the block's rows of dist once, and meets every pair up to the
+    block's end in tiles of DELTA_PAIR_COLS, so each int16 array holds at
+    most DELTA_PAIR_ROWS x DELTA_PAIR_COLS values (256 KB); meetings with
+    pairs that are not earlier stay below the optimum too.
+    """
+    d = dist[x, y]
+    order = np.argsort(-d, kind="stable")
+    x, y, d = x[order], y[order], d[order]
+    best, b0 = 0, 0
+    while b0 < len(d) and d[b0] > best:
+        b1 = min(b0 + DELTA_PAIR_ROWS, int(np.searchsorted(-d, -best)))
+        # dist is symmetric: column w of cols_x holds d(x_b, w) for the block's b
+        cols_x, cols_y = dist[:, x[b0:b1]], dist[:, y[b0:b1]]
+        for a0 in range(0, b1, DELTA_PAIR_COLS):
+            a1 = min(a0 + DELTA_PAIR_COLS, b1)
+            u, v = x[a0:a1], y[a0:a1]
+            other = cols_x[u]
+            other += cols_y[v]  # d(x, u) + d(y, v)
+            cross = cols_x[v]
+            cross += cols_y[u]  # d(x, v) + d(y, u)
+            np.maximum(other, cross, out=other)
+            np.subtract(d[a0:a1, None], other, out=other)
+            best = max(best, int((other.max(axis=0) + d[b0:b1]).max()))
+        b0 = b1
+    return best
+
+
+def _quadruple_sweep(dist: np.ndarray) -> int:
+    """Twice the delta of a graph with distance matrix dist, from every
+    4-set {i < j < k < l}.
+
+    The sweep walks i, a chunk of DELTA_J_CHUNK js, a block of
+    DELTA_K_BLOCK ks from j0 + 1 and every l from the block's first k on;
+    tuples with repeated nodes contribute zero and re-orderings repeat
+    values already covered.  Each block holds DELTA_J_CHUNK x DELTA_K_BLOCK
+    x (n - k0) int16 sums, at most about 0.6 MB per array at the 600-node
+    cap, so the integer max/min passes run in cache.
+    """
+    n = len(dist)
     best = 0
     for i in range(n - 3):
         row_i = dist[i]
@@ -307,7 +409,7 @@ def delta_hyperbolicity(g: Graph, node_cap: int = DELTA_NODE_CAP) -> float:
                 np.maximum(a, hi, out=a)  # second largest
                 np.subtract(top, a, out=top)
                 best = max(best, int(top.max()))
-    return best / 2.0
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -419,8 +419,9 @@ def benchmark_models(kinds, graph: Graph, split: EdgeSplit, seed: int = 0,
 
 
 def speedup_with_ci(baseline: BenchResult, subject: BenchResult):
-    """Ratio of mean epoch times with a delta-method 95% confidence interval."""
+    """Ratio of mean epoch times with a delta-method 95% confidence
+    interval, built on the log ratio so that both bounds stay positive."""
     ratio = baseline.mean / subject.mean
     rel = np.sqrt((baseline.se / baseline.mean) ** 2 + (subject.se / subject.mean) ** 2)
-    half = _CI_Z * ratio * float(rel)
-    return ratio, ratio - half, ratio + half
+    spread = float(np.exp(_CI_Z * rel))
+    return ratio, ratio / spread, ratio * spread

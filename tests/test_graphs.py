@@ -1,17 +1,24 @@
+import importlib.util
 import itertools
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
+from shgcn import graphs
 from shgcn.graphs import (
     FEATURE_LANDMARKS,
     FEATURE_TEMPERATURE,
     Graph,
     _landmark_features,
     _spanning_tree_mask,
+    _far_apart_pairs,
+    _pair_sweep,
+    _pair_sweep_pays,
+    _quadruple_sweep,
     _two_core,
-    all_pairs_distances,
     cycle_graph,
     delta_hyperbolicity,
     erdos_graph,
@@ -161,13 +168,24 @@ def test_split_deterministic():
 def test_split_path_graph_negatives_verified():
     edges = np.column_stack([np.arange(9), np.arange(1, 10)])
     g = Graph(10, edges, np.zeros((10, 1)))
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a forest falls back silently
         s = split_edges(g, (0.8, 0.1, 0.1), seed=7)
     assert len(s.val_neg) == len(s.val_pos)
     assert len(s.test_neg) == len(s.test_pos)
     present = set(map(tuple, g.edges.tolist()))
     for a, b in np.vstack([s.val_neg, s.test_neg]):
         assert (min(a, b), max(a, b)) not in present
+
+
+def test_split_fallback_warns_when_the_graph_has_a_cycle():
+    # a 12-node path plus the chord (0, 2): the 11-edge spanning tree does
+    # not fit in the 10 training edges of 12
+    edges = np.vstack([np.column_stack([np.arange(11), np.arange(1, 12)]), [[0, 2]]])
+    g = Graph(12, edges, np.zeros((12, 1)))
+    with pytest.warns(UserWarning, match="spanning-forest reservation"):
+        s = split_edges(g, (0.85, 0.05, 0.10), seed=0)
+    assert len(s.train_pos) == 10
 
 
 def test_split_partition_properties():
@@ -212,7 +230,8 @@ def test_splits_never_overlap_when_val_and_test_round_up(count):
     parts = split_nodes(count, (0.0, 0.5, 0.5), 0)
     assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(count))
     edges = np.column_stack([np.arange(count), np.arange(1, count + 1)])
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a forest falls back silently
         s = split_edges(Graph(count + 1, edges, np.zeros((count + 1, 1))), (0.0, 0.5, 0.5), 0)
     used = np.vstack([s.train_pos, s.val_pos, s.test_pos])
     assert np.array_equal(np.sort(used, axis=0), edges)
@@ -429,6 +448,14 @@ def test_delta_node_cap():
         delta_hyperbolicity(g, node_cap=10)
 
 
+def all_pairs_distances(g: Graph) -> np.ndarray:
+    """BFS distances between every pair of nodes of a connected graph."""
+    dist = shortest_path(g.adjacency(), method="D", unweighted=True)
+    if np.any(np.isinf(dist)):
+        raise ValueError("graph is disconnected; delta-hyperbolicity undefined")
+    return dist
+
+
 def reference_delta(g: Graph) -> float:
     """The square-block kernel over all nodes that the triangular-block
     search over the 2-core replaced, kept as the exact reference."""
@@ -517,6 +544,20 @@ def test_delta_finds_a_lone_square_at_every_block_position(square):
     assert delta_hyperbolicity(g) == reference_delta(g) == 1.0
 
 
+@pytest.mark.parametrize("rows,cols", [(1, 1), (3, 5), (4, 4), (7, 2)])
+def test_pair_sweep_finds_a_lone_square_at_every_block_and_tile_position(rows, cols,
+                                                                         monkeypatch):
+    # only the square's two diagonals meet at 1, and the square's ids put
+    # them at 41 different pairs of positions among the 16 far-apart pairs
+    monkeypatch.setattr(graphs, "DELTA_PAIR_ROWS", rows)
+    monkeypatch.setattr(graphs, "DELTA_PAIR_COLS", cols)
+    for square in itertools.permutations(range(8), 4):
+        if square[0] > square[1]:
+            continue  # (b, a, d, c) gives the graph that (a, b, c, d) gives
+        dist = all_pairs_distances(_lone_square(8, square)).astype(np.int16)
+        assert _pair_sweep(dist, *_far_apart_pairs(dist)) == 2, square
+
+
 def test_lone_square_has_one_quadruple_worth_one():
     g = _lone_square(9, (0, 4, 7, 8))
     d = all_pairs_distances(g)
@@ -571,6 +612,119 @@ def test_delta_unchanged_by_pendant_trees():
         assert base == reference_delta(g) > 0
         hung = _with_pendant_trees(g, [0, 1, g.n - 1], [5, 20, 2], seed=seed)
         assert delta_hyperbolicity(hung) == base
+
+
+def _wheel(rim: int) -> Graph:
+    """Hub 0 joined to every node of the cycle 1..rim."""
+    return _bare(rim + 1, _ring(np.arange(1, rim + 1)) + [(0, i) for i in range(1, rim + 1)])
+
+
+def _friendship(triangles: int) -> Graph:
+    """Triangles that share the one hub 0."""
+    return _bare(2 * triangles + 1, [e for t in range(1, 2 * triangles, 2)
+                                     for e in ((0, t), (0, t + 1), (t, t + 1))])
+
+
+def _ladder(rungs: int) -> Graph:
+    rails = [(i, i + 1) for i in range(rungs - 1)]
+    rails += [(a + rungs, b + rungs) for a, b in rails]
+    return _bare(2 * rungs, rails + [(i, i + rungs) for i in range(rungs)])
+
+
+def _necklace(beads: int) -> Graph:
+    """4-cycles in a row, each joined to the next by a bridge from its node
+    2 to the next one's node 0."""
+    edges = [e for b in range(beads) for e in _ring(np.arange(4 * b, 4 * b + 4))]
+    return _bare(4 * beads, edges + [(4 * b + 2, 4 * b + 4) for b in range(beads - 1)])
+
+
+def _grid(rows: int, cols: int) -> Graph:
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    edges = [(a, b) for line in (*ids, *ids.T) for a, b in zip(line[:-1], line[1:])]
+    return _bare(rows * cols, edges)
+
+
+def _erdos_ring(n: int, p: float, seed: int) -> Graph:
+    return _bare(n, np.concatenate([erdos_graph(n, p, seed=seed).edges, _ring(np.arange(n))]))
+
+
+def _core_distances(g: Graph) -> np.ndarray:
+    core = _two_core(g)
+    return all_pairs_distances(g)[np.ix_(core, core)].astype(np.int16)
+
+
+DELTA_FAMILIES = [
+    *(_wheel(rim) for rim in (3, 4, 5, 12, 31)),
+    *(_friendship(k) for k in (2, 3, 16)),
+    *(_ladder(rungs) for rungs in (2, 3, 9, 24)),
+    *(_necklace(beads) for beads in (1, 2, 5)),
+    *(_grid(r, c) for r, c in ((2, 2), (3, 5), (6, 6), (4, 9))),
+    *(cycle_graph(n) for n in (3, 5, 6, 11, 40)),
+    *(_erdos_ring(n, p, seed) for n in (12, 60, 150) for seed, p in enumerate((0.02, 0.1, 0.4))),
+]
+
+
+@pytest.mark.parametrize("g", DELTA_FAMILIES, ids=lambda g: f"n{g.n}-m{g.num_edges}")
+def test_delta_and_both_sweeps_match_reference_on_graph_families(g, monkeypatch):
+    expected = reference_delta(g)
+    assert delta_hyperbolicity(g) == expected
+    dist = _core_distances(g)
+    if len(dist) >= 4:
+        far = _far_apart_pairs(dist)
+        assert _quadruple_sweep(dist) == _pair_sweep(dist, *far) == 2 * expected
+        # blocks and tiles of a few pairs put every pair near one of their edges
+        monkeypatch.setattr(graphs, "DELTA_PAIR_ROWS", 3)
+        monkeypatch.setattr(graphs, "DELTA_PAIR_COLS", 5)
+        assert _pair_sweep(dist, *far) == 2 * expected
+
+
+@pytest.mark.parametrize("g,pairs_pay", [
+    (_erdos_ring(100, 0.02, 0), True),   # few far-apart pairs, long distances
+    (_grid(8, 8), True),
+    (_wheel(40), False),                 # every rim pair not on the rim is far-apart
+    (_friendship(20), False),
+], ids=["erdos-ring", "grid", "wheel", "friendship"])
+def test_delta_picks_the_sweep_by_its_counts(g, pairs_pay):
+    dist = _core_distances(g)
+    x, _ = _far_apart_pairs(dist)
+    assert _pair_sweep_pays(len(dist), len(x)) is pairs_pay
+    assert delta_hyperbolicity(g) == reference_delta(g)
+
+
+def test_far_apart_pairs_alone_give_the_brute_force_delta():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for trial in range(40):
+        g = erdos_graph(int(rng.integers(4, 10)), float(rng.uniform(0.3, 0.7)), seed=trial)
+        if not g.is_connected():
+            continue
+        d = all_pairs_distances(g)
+        nbrs = [np.flatnonzero(row) for row in g.adjacency().toarray()]
+        far = [(x, y) for x, y in itertools.combinations(range(g.n), 2)
+               if d[nbrs[x], y].max() <= d[x, y] and d[x, nbrs[y]].max() <= d[x, y]]
+        got = _far_apart_pairs(d.astype(np.int16))
+        assert list(zip(*(a.tolist() for a in got))) == far
+        best = 0.0
+        for (x, y), (u, v) in itertools.combinations(far, 2):
+            other = max(d[x, u] + d[y, v], d[x, v] + d[y, u])
+            best = max(best, (d[x, y] + d[u, v] - other) / 2.0)
+        assert best == brute_force_delta(g)
+        checked += 1
+    assert checked >= 20
+
+
+def test_delta_battery_tiny_prints_reference_deltas(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "delta_battery", Path(__file__).resolve().parent.parent / "tools" / "delta_battery.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--tiny"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = tool.battery(tiny=True)
+    assert header.split()[-2:] == ["delta", "seconds"] and len(lines) == len(rows)
+    for line, (name, build) in zip(lines, rows):
+        assert line.startswith(name)
+        assert float(line.split()[-2]) == reference_delta(build()), line
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from shgcn.layers import (
 from shgcn.metrics import classification_metrics, mean_absolute_error, roc_auc
 from shgcn.precision import Precision
 from shgcn.training import (
+    BenchResult,
     EpochRecord,
     WARMUP_EPOCHS,
     TrainResult,
@@ -616,6 +617,17 @@ def test_benchmark_self_comparison_near_unity(small_tree_setup):
                                runs=32, config_base=ModelConfig(num_layers=1, hidden_dim=4))
     ratio, lo, hi = speedup_with_ci(results[0], results[1])
     assert abs(ratio - 1.0) < 0.10
+
+
+def test_speedup_interval_stays_positive_under_a_noisy_baseline():
+    # 10.29 +- 5.44 ms against 2.32 +- 0.045 ms: an interval on the ratio
+    # itself would reach below zero
+    noisy = BenchResult("hgcn-agg0", np.zeros(0), 10.29e-3, 5.44e-3)
+    steady = BenchResult("shgcn", np.zeros(0), 2.32e-3, 0.045e-3)
+    ratio, lo, hi = speedup_with_ci(noisy, steady)
+    assert ratio == pytest.approx(4.4353, abs=1e-4)
+    assert (lo, hi) == (pytest.approx(1.573, abs=1e-3), pytest.approx(12.51, abs=1e-2))
+    assert math.log(ratio / lo) == pytest.approx(math.log(hi / ratio))
 
 
 def test_benchmark_interleaves_runs_across_kinds(small_tree_setup, monkeypatch):
