@@ -43,6 +43,9 @@ release=True)`` also drops each non-leaf node's gradient buffer as soon as
 its rule has run, since nothing reads it after that: only the variables
 keep gradients, and the allocator can hand the freed memory to the rest of
 the sweep.  The default keeps every buffer, for inspection and tests.
+Training (`training._fit`) drops each epoch's tape once its step is taken,
+so one tape is alive at a time, and sets glibc's malloc to keep the freed
+pages for the next tape instead of handing them back to the kernel.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ forward, negatives, backward and step; validation stays outside it."""
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -149,6 +151,39 @@ def _check_finite(epoch: int, loss: float, stepped: dict) -> None:
                 f"epoch {epoch}: parameter {name!r} is not finite after the Adam step")
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _kept_heap():
+    """Set glibc's malloc, once per process, to keep a freed tape's pages
+    for the next tape, and return its `malloc_trim`.  Where the C library
+    has no `mallopt` or `malloc_trim` (macOS, Windows) nothing is set
+    and the result is None.
+
+    By default glibc adjusts two thresholds as it goes: freeing an mmapped
+    array raises the mmap threshold to its size and the trim threshold to
+    twice that.  A tape's arrays then come from the heap, and the freed tape
+    at the heap top is handed back to the kernel after every epoch, so the
+    next forward faults it all back in.  Setting either threshold stops the
+    adjustment and freezes the other where it stands (128 KiB in a fresh
+    process), which traps alone: tape arrays mmapped, or every epoch
+    trimmed.  So both are set: arrays below 32 MiB (glibc's cap) come from
+    the heap, and up to 256 MiB of free heap top is kept."""
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    return malloc_trim
+
+
 def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_is_better: bool,
          seed: int, epochs: int, patience: int, lr: float) -> TrainResult:
     """The epoch loop of every trainer: Adam, early stopping on a validation
@@ -160,7 +195,13 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
     freed once its rule has run, and only the parameter nodes keep theirs.
     The best params are set before one dropout-free forward goes to
     `test_of`.  Raises NonFiniteError when the loss or a stepped parameter
-    is not finite."""
+    is not finite.
+
+    One tape is alive at a time: an epoch drops its tape once the step is
+    taken, and with dropout the previous epoch's validation forward runs
+    before the training forward.  The freed tape's pages stay in the heap
+    for the next forward (`_kept_heap`), and go back to the kernel with
+    `malloc_trim` when the call returns."""
     modules = [model] if head is None else [model, head]
 
     def params() -> dict:
@@ -178,10 +219,10 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
     best_val = -np.inf if higher_is_better else np.inf
     best_params, stale = params(), 0
 
-    def validate(loss: float, stepped: dict, out: Node) -> bool:
+    def validate(loss: float, stepped: dict, out: Matrix) -> bool:
         """Record the oldest unvalidated epoch; True once patience runs out."""
         nonlocal best_val, best_params, stale
-        val = val_of(out.value)
+        val = val_of(out)
         records.append(EpochRecord(len(records), loss, val))
         if not np.isfinite(val):
             best_params = stepped
@@ -192,28 +233,38 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
             return stale >= patience
         return False
 
-    pending = None  # (loss, params) of the stepped epoch awaiting validation
-    for _ in range(epochs):
-        start = time.perf_counter()
-        out, nodes = forward(drop_rng)
-        if pending is not None:
-            paused = time.perf_counter()
-            if validate(*pending, out if reuse else forward(None)[0]):
+    malloc_trim = _kept_heap()
+    try:
+        pending = None  # (loss, params) of the stepped epoch awaiting validation
+        for _ in range(epochs):
+            if pending is not None and not reuse and validate(*pending, forward(None)[0].value):
                 break
-            start += time.perf_counter() - paused
-        loss = loss_of(out)
-        out.tape.backward(loss, release=True)
-        stepped = adam_step(opt, params(), _grads_of(nodes))
-        _check_finite(len(times), loss.item(), stepped)
-        set_params(stepped)
-        times.append(time.perf_counter() - start)
-        pending = (loss.item(), stepped)
-    else:
-        if pending is not None:
-            validate(*pending, forward(None)[0])
+            start = time.perf_counter()
+            out, nodes = forward(drop_rng)
+            if pending is not None and reuse:
+                paused = time.perf_counter()
+                if validate(*pending, out.value):
+                    del out, nodes  # the test forward runs with no tape alive
+                    break
+                start += time.perf_counter() - paused
+            loss = loss_of(out)
+            out.tape.backward(loss, release=True)
+            stepped = adam_step(opt, params(), _grads_of(nodes))
+            pending = (loss.item(), stepped)
+            del out, nodes, loss  # the next forward runs with no tape alive
+            _check_finite(len(times), *pending)
+            set_params(stepped)
+            times.append(time.perf_counter() - start)
+        else:
+            if pending is not None:
+                validate(*pending, forward(None)[0].value)
 
-    set_params(best_params)
-    return TrainResult(best_params, records, test_of(forward(None)[0].value), np.asarray(times))
+        set_params(best_params)
+        test = test_of(forward(None)[0].value)
+        return TrainResult(best_params, records, test, np.asarray(times))
+    finally:
+        if malloc_trim is not None:
+            malloc_trim(0)
 
 
 def _lp_auc(z: Matrix, pos, neg, decoder: DecoderConfig) -> float:

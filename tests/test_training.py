@@ -1,8 +1,10 @@
 import copy
+import ctypes
 import dataclasses
 import math
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -575,22 +577,27 @@ def test_forwards_per_call(small_tree_setup, monkeypatch, dropout, forwards):
     assert len(calls) == forwards
 
 
+def train_task(task, config, setup, **kw):
+    """Train `task` on the small tree (LP, NC) or the regression family (GR)."""
+    graph, split = setup
+    if task == "gr":
+        return train_graph_regression(config, regression_family(), **kw)
+    if task == "nc":
+        return train_node_classification(
+            config, graph, split_nodes(graph.n, (0.85, 0.05, 0.10), 1), **kw)
+    return train_link_prediction(config, graph, split, **kw)
+
+
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
 @pytest.mark.parametrize("task", ["lp", "nc", "gr"])
 @pytest.mark.parametrize("kind", ["shgcn", "hgcn-agg0", "gcn"])
 def test_released_backward_keeps_trajectories_bit_identical(small_tree_setup, monkeypatch,
                                                             kind, task, dropout):
-    graph, split = small_tree_setup
     config = ModelConfig(layer_kind=kind, num_layers=2, hidden_dim=6, dropout=dropout)
     kw = dict(seed=1, epochs=6, patience=3, lr=0.02)
 
     def train():
-        if task == "gr":
-            return train_graph_regression(config, regression_family(), **kw)
-        if task == "nc":
-            return train_node_classification(
-                config, graph, split_nodes(graph.n, (0.85, 0.05, 0.10), 1), **kw)
-        return train_link_prediction(config, graph, split, **kw)
+        return train_task(task, config, small_tree_setup, **kw)
 
     original, releases = Tape.backward, []
 
@@ -603,6 +610,100 @@ def test_released_backward_keeps_trajectories_bit_identical(small_tree_setup, mo
     assert releases and all(releases)
     monkeypatch.setattr(Tape, "backward", lambda self, root, release=False: original(self, root))
     assert_same_trajectory(shipped, train())
+
+
+@pytest.mark.parametrize("patience", [1, 7])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("task", ["lp", "nc", "gr"])
+def test_one_tape_alive_at_each_forward(small_tree_setup, monkeypatch, task, dropout, patience):
+    """Every forward, for training, validation or the test, starts with each
+    earlier tape freed by reference counting alone, also when early
+    stopping ends the loop."""
+    tapes = []
+    forward = GraphModel.forward
+
+    def checking(self, tape, *args, **kwargs):
+        alive = [i for i, ref in enumerate(tapes) if ref() is not None]
+        assert not alive, f"forwards {alive} still hold their tapes"
+        tapes.append(weakref.ref(tape))
+        return forward(self, tape, *args, **kwargs)
+
+    monkeypatch.setattr(GraphModel, "forward", checking)
+    config = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=6, dropout=dropout)
+    result = train_task(task, config, small_tree_setup, seed=1, epochs=6, patience=patience,
+                        lr=0.02)
+    assert len(tapes) > len(result.records) > 0
+
+
+@pytest.fixture
+def fresh_heap_setting():
+    """Let `_kept_heap` run again in this test, and again after it."""
+    training._kept_heap.cache_clear()
+    yield
+    training._kept_heap.cache_clear()
+
+
+class FakeLibc:
+    """A C library whose `mallopt` and `malloc_trim` only record calls."""
+
+    def __init__(self, calls: list, *missing: str):
+        def mallopt(param, value):
+            calls.append(("mallopt", param, value))
+            return 1
+
+        def malloc_trim(pad):
+            calls.append(("malloc_trim", pad))
+            return 1
+
+        for name, fn in (("mallopt", mallopt), ("malloc_trim", malloc_trim)):
+            if name not in missing:
+                setattr(self, name, fn)
+
+
+def test_mallopt_is_set_once_per_process_and_the_heap_trimmed_per_call(
+        small_tree_setup, monkeypatch, fresh_heap_setting):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc(calls))
+    config = ModelConfig(layer_kind="gcn", num_layers=1, hidden_dim=4)
+    for task in ("lp", "nc"):
+        train_task(task, config, small_tree_setup, seed=0, epochs=3)
+    assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20),
+                     ("malloc_trim", 0), ("malloc_trim", 0)]
+
+
+def test_heap_is_trimmed_when_training_raises(small_tree_setup, monkeypatch,
+                                              fresh_heap_setting):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc(calls))
+    poison_step(monkeypatch, 2, "b1")
+    with pytest.raises(NonFiniteError):
+        train_task("lp", ModelConfig(num_layers=2, hidden_dim=4), small_tree_setup, seed=0,
+                   epochs=3)
+    assert calls[-1] == ("malloc_trim", 0)
+
+
+def _refuse(error):
+    def load(name):
+        raise error("no C library")
+    return load
+
+
+@pytest.mark.parametrize("task", ["lp", "gr"])
+@pytest.mark.parametrize("loader", [
+    _refuse(OSError),  # no such shared object
+    _refuse(TypeError),  # Windows: CDLL(None) takes no null name
+    lambda name: FakeLibc([], "mallopt"),  # macOS: no mallopt
+    lambda name: FakeLibc([], "malloc_trim"),  # a mallopt without glibc's malloc_trim
+], ids=["oserror", "typeerror", "no-mallopt", "no-malloc-trim"])
+def test_training_runs_alike_without_glibc(small_tree_setup, monkeypatch, fresh_heap_setting,
+                                           task, loader):
+    config = ModelConfig(layer_kind="shgcn", num_layers=2, hidden_dim=6, dropout=0.2)
+    kw = dict(seed=1, epochs=6, patience=3, lr=0.02)
+    shipped = train_task(task, config, small_tree_setup, **kw)
+    training._kept_heap.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", loader)
+    assert training._kept_heap() is None
+    assert_same_trajectory(train_task(task, config, small_tree_setup, **kw), shipped)
 
 
 # ---------------------------------------------------------------------------
