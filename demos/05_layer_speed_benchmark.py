@@ -7,15 +7,11 @@ time.  This benchmark trains all three layer kinds on the same graph,
 split, and seeds, timing forward+backward+step only.
 """
 
-import warnings
-
 from shgcn import ModelConfig, benchmark_models, speedup_with_ci, split_edges, tree_graph
 
 graph = tree_graph(3, 6)
 print(f"graph: ternary tree, {graph.n} nodes; 50 epochs x 3 runs per model")
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    split = split_edges(graph, (0.85, 0.05, 0.10), seed=0)
+split = split_edges(graph, (0.85, 0.05, 0.10), seed=0)
 
 results = benchmark_models(
     ["hgcn-agg0", "shgcn", "gcn"], graph, split, seed=0, epochs=50, runs=3,

@@ -33,6 +33,14 @@ no two nodes share a buffer.  A node that no contribution reaches keeps
 ``grad is None`` and its rules never run; variables among them get zeros
 once the sweep is done.
 
+Reductions: summing a contribution down to a broadcast operand's shape,
+and ``row_sum``'s forward, use ``np.einsum``, which on a (3280, 16) array
+runs 3.5-5x faster than ``ndarray.sum``.  Never BLAS: a BLAS product may
+add in another order under another thread count.  A sum down to a (1, d)
+row keeps the bits of ``sum(axis=0)``; a sum down to an (n, 1) column
+differs from ``sum(axis=1)`` in the last few ulps (`_column_sums`,
+`_row_sums`).
+
 Lifetime: a Node holds its Tape, its parents and its backward rules; the
 Tape holds its Nodes only through weak references.  There is no reference
 cycle, so a tape and its arrays are freed by reference counting as soon as
@@ -282,11 +290,36 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient down to the shape of a broadcast operand."""
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
+    """Sum a gradient down to the shape of a broadcast operand: over its
+    rows first, then over its columns."""
+    if shape[0] == 1 and g.shape[0] != 1:
+        g = _column_sums(g)
+    if shape[1] == 1 and g.shape[1] != 1:
+        g = _row_sums(g)
     return g
+
+
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each column -> fresh (1, d), with the bits of
+    ``x.sum(axis=0, keepdims=True)``.  On a C-ordered array with d >= 2
+    both add the rows one after another, in order; numpy sums a contiguous
+    column pairwise instead, so a single column or an F-ordered array keeps
+    ``sum``.  (Where two NaNs of opposite sign meet, the two may keep
+    different ones.)"""
+    if x.shape[1] < 2 or not x.flags.c_contiguous:
+        return x.sum(axis=0, keepdims=True)
+    out = np.empty((1, x.shape[1]))
+    np.einsum("ij->j", x, out=out[0])
+    return out
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each row -> fresh (n, 1).  einsum adds a row in another order
+    than ``x.sum(axis=1)``; the two lie within (d - 1)·eps·sum|x| of each
+    other.  Below about 64 rows it is slower, by under 1 µs."""
+    out = np.empty((x.shape[0], 1))
+    np.einsum("ij->i", x, out=out[:, 0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +408,7 @@ def mean_all(a: Node) -> Node:
 def row_sum(a: Node) -> Node:
     """Sum along each row -> (n, 1)."""
     # the (n, 1) gradient broadcasts over (n, d)
-    return _record(a.data.sum(axis=1, keepdims=True), (a,), lambda g: g)
+    return _record(_row_sums(a.data), (a,), lambda g: g)
 
 
 def row_norm(a: Node) -> Node:
@@ -422,16 +455,17 @@ def relu(a: Node) -> Node:
     return _elementwise(a, lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(np.float64))
 
 
+def _logistic(x):
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives 1/(1 + inf) = 0, as it should
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def softplus(a: Node) -> Node:
-    return _elementwise(
-        a,
-        lambda x: np.logaddexp(0.0, x),
-        lambda x: 1.0 / (1.0 + np.exp(-x)),
-    )
+    return _elementwise(a, lambda x: np.logaddexp(0.0, x), _logistic)
 
 
 def sigmoid(a: Node) -> Node:
-    raw = 1.0 / (1.0 + np.exp(-a.data))
+    raw = _logistic(a.data)
     return _record(raw, (a,), lambda g: g * raw * (1.0 - raw))
 
 

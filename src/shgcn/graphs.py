@@ -510,21 +510,23 @@ def random_tree(n: int, seed: int = 0) -> Graph:
 
 
 def parse_synthetic(spec: str) -> Graph:
-    """Grammar: tree:<branching>,<depth> | cycle:<n> | erdos:<n>,<p>,<seed>."""
+    """Grammar: tree:<branching>,<depth> | cycle:<n> | erdos:<n>,<p>,<seed>.
+    Each kind takes exactly its fields; a missing, empty or extra one is
+    refused."""
+    kinds = {"tree": (tree_graph, (int, int)), "cycle": (cycle_graph, (int,)),
+             "erdos": (erdos_graph, (int, float, int))}
+    kind, _, args = spec.partition(":")
+    if kind not in kinds:
+        raise ValueError(f"unknown synthetic graph kind {kind!r}; expected tree/cycle/erdos")
+    make, types = kinds[kind]
+    parts = args.split(",") if args else []
+    if len(parts) != len(types):
+        raise ValueError(f"bad synthetic graph spec {spec!r}: {kind} takes "
+                         f"{len(types)} comma-separated field(s), got {len(parts)}")
     try:
-        kind, _, args = spec.partition(":")
-        parts = [a for a in args.split(",") if a] if args else []
-        if kind == "tree":
-            return tree_graph(int(parts[0]), int(parts[1]))
-        if kind == "cycle":
-            return cycle_graph(int(parts[0]))
-        if kind == "erdos":
-            return erdos_graph(int(parts[0]), float(parts[1]), int(parts[2]))
-    except (IndexError, ValueError) as exc:
+        return make(*[cast(part) for cast, part in zip(types, parts)])
+    except ValueError as exc:
         raise ValueError(f"bad synthetic graph spec {spec!r}: {exc}") from None
-    raise ValueError(
-        f"unknown synthetic graph kind {kind!r}; expected tree/cycle/erdos"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +553,14 @@ def _read_table(path: str) -> np.ndarray:
 
 def _read_ids(path: str) -> np.ndarray:
     """A table of node ids or class labels: integral values such as 1.0
-    are taken, fractional ones refused rather than truncated."""
+    are taken, fractional ones refused rather than truncated, and values
+    that int64 cannot hold refused before the cast could wrap them."""
     table = _read_table(path)
     if not np.array_equal(table, np.round(table)):
         raise ValueError(f"non-integral id or label in {path}")
+    huge = np.abs(table) >= 2.0**63
+    if huge.any():
+        raise ValueError(f"id or label out of range in {path}: {table[huge][0]:g}")
     return table.astype(np.int64)
 
 

@@ -1,5 +1,9 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -730,3 +734,144 @@ def test_released_sweep_keeps_a_variable_root():
     x = tape.variable([[2.0]])
     tape.backward(x, release=True)
     assert np.array_equal(x.grad, [[1.0]])
+
+
+# ---------------------------------------------------------------------------
+# reductions to a broadcast operand's shape
+# ---------------------------------------------------------------------------
+
+
+def _reduction_inputs():
+    """Arrays of many shapes and layouts, some holding -0.0, infinities or
+    NaN; d = 1 and F-ordered views included."""
+    rng = np.random.default_rng(21)
+    arrays = []
+    for n, d in [(1, 1), (1, 5), (2, 1), (7, 1), (300, 1), (2, 2), (3, 16), (15, 16),
+                 (64, 3), (1093, 16), (3280, 16), (257, 33)]:
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+        arrays += [x, np.asfortranarray(x), x[::2], x.T.copy()]
+        zeros = np.where(rng.random((n, d)) < 0.5, -0.0, x)
+        zeros[:, 0] = -0.0  # a column of -0.0 alone
+        arrays.append(zeros)
+        special = x.copy()
+        special[rng.random((n, d)) < 0.05] = np.inf
+        special[rng.random((n, d)) < 0.05] = -np.inf
+        special[rng.random((n, d)) < 0.05] = np.nan
+        arrays += [special, np.asfortranarray(special)]
+    return arrays
+
+
+REDUCTION_INPUTS = _reduction_inputs()
+
+
+def _same_bits_or_both_nan(a, b):
+    """Equal bits everywhere, except that a NaN need only meet a NaN: two
+    NaNs of opposite sign meeting in a sum may leave either one."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def test_column_sums_keep_the_bits_of_sum_over_rows():
+    with np.errstate(invalid="ignore"):  # inf - inf in the special arrays
+        for x in REDUCTION_INPUTS:
+            got, want = ad._column_sums(x), x.sum(axis=0, keepdims=True)
+            assert _same_bits_or_both_nan(got, want), (x.shape, x.flags.f_contiguous)
+            if not np.isnan(want).any():
+                assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and got.flags.writeable
+
+
+def test_column_sums_of_a_negative_zero_column_stay_bit_identical():
+    x = np.full((6, 3), -0.0)
+    assert ad._column_sums(x).tobytes() == x.sum(axis=0, keepdims=True).tobytes()
+    assert ad._column_sums(x[:, :1]).tobytes() == x[:, :1].sum(axis=0, keepdims=True).tobytes()
+
+
+def test_row_sums_agree_with_sum_over_columns_within_the_summation_bound():
+    # each order of adding d terms errs by at most (d - 1)·u·Σ|x| (u = eps/2),
+    # so the two sums lie within (d - 1)·eps·Σ|x| of each other
+    for x in REDUCTION_INPUTS:
+        x = x[np.isfinite(x).all(axis=1)]
+        got, want = ad._row_sums(x), x.sum(axis=1, keepdims=True)
+        d = x.shape[1]
+        bound = (d - 1) * np.finfo(np.float64).eps * np.abs(x).sum(axis=1, keepdims=True)
+        assert got.shape == want.shape and np.all(np.abs(got - want) <= bound)
+        if d <= 2:
+            assert got.tobytes() == (want + 0.0).tobytes()  # a single add
+        assert got.flags.c_contiguous and got.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (3280, 1), (1, 1)],
+                         ids=["row", "column", "scalar"])
+def test_broadcast_operand_gradient_is_its_reduced_incoming_gradient(shape):
+    rng = np.random.default_rng(4)
+    x0, w0 = rng.normal(size=(3280, 16)), rng.normal(size=(3280, 16))
+    tape = Tape()
+    x, b = tape.variable(x0), tape.variable(rng.normal(size=shape))
+    tape.backward(ad.sum_all((x + b) * tape.constant(w0)))
+    if shape == (1, 16):
+        assert b.grad.tobytes() == w0.sum(axis=0, keepdims=True).tobytes()
+    elif shape == (3280, 1):
+        assert np.allclose(b.grad, w0.sum(axis=1, keepdims=True), rtol=0, atol=1e-13)
+    else:
+        assert np.allclose(b.grad, w0.sum(), rtol=1e-13)
+    assert b.grad.shape == shape and b.grad.flags.c_contiguous
+
+
+# OpenBLAS splits a long product between its threads, so a sum that goes
+# through BLAS can add in another order under another thread count: a gemv
+# row sum of a (88573, 8) array and `ones @ column` on 30000 rows both do
+GRADIENT_BYTES = """
+import hashlib
+import numpy as np
+from shgcn import autodiff as ad
+from shgcn.autodiff import Tape
+
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+for n, d in [(30000, 16), (88573, 8)]:
+    tape = Tape()
+    x = tape.variable(rng.normal(size=(n, d)))
+    w = tape.variable(rng.normal(size=(d, d)) / 4.0)
+    b = tape.variable(rng.normal(size=(1, d)))
+    s = tape.variable(rng.normal(size=(n, 1)))
+    c = tape.variable([[0.7]])
+    h = ad.tanh(x @ w + b) * s
+    loss = ad.mean_all(ad.row_sum(h * h) * c) + ad.sum_all(h.T @ h)
+    tape.backward(loss, release=True)
+    for node in (x, w, b, s, c):
+        digest.update(node.grad.tobytes())
+    del tape, x, w, b, s, c, h, loss
+print(digest.hexdigest())
+"""
+
+
+def test_tape_gradient_bytes_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", GRADIENT_BYTES], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("op", [ad.sigmoid, ad.softplus])
+def test_logistic_saturates_without_an_overflow_warning(op):
+    x0 = np.array([[-800.0, -40.0, 0.0, 40.0, 800.0]])
+    tape = Tape()
+    x = tape.variable(x0)
+    out = op(x)
+    tape.backward(ad.sum_all(out))
+    logistic = np.array([[0.0, 1.0 / (1.0 + np.exp(40.0)), 0.5, 1.0 / (1.0 + np.exp(-40.0)), 1.0]])
+    if op is ad.sigmoid:
+        assert np.array_equal(out.data, logistic)
+        assert np.array_equal(x.grad, logistic * (1.0 - logistic))
+    else:
+        assert np.array_equal(x.grad, logistic)

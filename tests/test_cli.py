@@ -402,6 +402,29 @@ def test_hyperbolicity_negative_self_loop_exits_2_without_output(tmp_path, monke
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("spec,kind", [
+    ("tree:2,3,9", "tree"), ("cycle:4,1", "cycle"), ("erdos:5,0.5,0,7", "erdos"),
+])
+def test_hyperbolicity_extra_synthetic_field_exits_2(tmp_path, monkeypatch, capsys, spec,
+                                                     kind):
+    code, out, err = run_cli(["hyperbolicity", "--synthetic", spec],
+                             tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert f"bad synthetic graph spec {spec!r}: {kind} takes" in err
+    assert "delta" not in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_hyperbolicity_id_beyond_int64_exits_2_naming_the_file(tmp_path, monkeypatch, capsys):
+    edges = tmp_path / "e.csv"
+    edges.write_text("0 1\n1 2\n2 0\n1 1e20\n")
+    code, out, err = run_cli(["hyperbolicity", "--edges", str(edges)],
+                             tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert f"id or label out of range in {edges}" in err
+    assert "delta" not in out
+
+
 def test_hyperbolicity_cap_exceeded_exits_2(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(
         ["hyperbolicity", "--synthetic", "cycle:30", "--cap", "10"],

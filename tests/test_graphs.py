@@ -188,6 +188,8 @@ def test_split_fallback_warns_when_the_graph_has_a_cycle():
     assert len(s.train_pos) == 10
 
 
+# some of these Erdos graphs have cycles that the training part cannot keep
+@pytest.mark.filterwarnings("ignore:spanning-forest reservation:UserWarning")
 def test_split_partition_properties():
     rng = np.random.default_rng(0)
     for trial in range(20):
@@ -866,6 +868,39 @@ def test_parse_synthetic():
         parse_synthetic("torus:4")
     with pytest.raises(ValueError):
         parse_synthetic("tree:2")
+
+
+@pytest.mark.parametrize("spec,fields", [
+    ("tree:2,3,9", 3), ("tree:2,,3", 3), ("tree", 0),
+    ("cycle:4,1", 2), ("cycle:", 0),
+    ("erdos:5,0.5,0,7", 4), ("erdos:5,0.5", 2),
+])
+def test_parse_synthetic_refuses_a_wrong_field_count(spec, fields):
+    with pytest.raises(ValueError, match=f"bad synthetic graph spec.*got {fields}$"):
+        parse_synthetic(spec)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text,value", [
+    ("0 1\n1 1e20\n", "1e+20"),
+    ("0 1\n-1e19 2\n", "-1e+19"),
+    ("0 1\n1 9223372036854775808\n", "9.22337e+18"),
+])
+def test_load_graph_refuses_ids_beyond_int64_before_casting(tmp_path, text, value):
+    edges = tmp_path / "e.csv"
+    edges.write_text(text)
+    with pytest.raises(ValueError, match="id or label out of range in") as info:
+        load_graph(str(edges))
+    assert str(edges) in str(info.value) and str(info.value).endswith(value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_graph_refuses_labels_beyond_int64(tmp_path):
+    edges, labels = tmp_path / "e.csv", tmp_path / "y.csv"
+    edges.write_text("0 1\n1 2\n")
+    labels.write_text("0\n1\n3e30\n")
+    with pytest.raises(ValueError, match=f"id or label out of range in {labels}"):
+        load_graph(str(edges), labels_path=str(labels))
 
 
 def test_load_graph_roundtrip(tmp_path):

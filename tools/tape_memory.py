@@ -34,7 +34,6 @@ import gc
 import resource
 import time
 import tracemalloc
-import warnings
 
 from shgcn.cli import _regression_family
 from shgcn.graphs import parse_synthetic, split_edges, split_nodes
@@ -64,10 +63,7 @@ def trainer(args, task: str, kind: str):
         return lambda: train_graph_regression(config, family, **kw)
     graph = parse_synthetic(args.graph)
     if task == "lp":
-        with warnings.catch_warnings():
-            # trees cannot keep a spanning forest in 85% of their edges
-            warnings.simplefilter("ignore", UserWarning)
-            split = split_edges(graph, RATIOS, SEED)
+        split = split_edges(graph, RATIOS, SEED)
     else:
         split = split_nodes(graph.n, RATIOS, SEED)
     return lambda: train_model(config, graph, split, task=task, **kw)
