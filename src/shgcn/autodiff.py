@@ -33,13 +33,33 @@ no two nodes share a buffer.  A node that no contribution reaches keeps
 ``grad is None`` and its rules never run; variables among them get zeros
 once the sweep is done.
 
-Reductions: summing a contribution down to a broadcast operand's shape,
-and ``row_sum``'s forward, use ``np.einsum``, which on a (3280, 16) array
-runs 3.5-5x faster than ``ndarray.sum``.  Never BLAS: a BLAS product may
-add in another order under another thread count.  A sum down to a (1, d)
-row keeps the bits of ``sum(axis=0)``; a sum down to an (n, 1) column
-differs from ``sum(axis=1)`` in the last few ulps (`_column_sums`,
-`_row_sums`).
+Broadcasts and reductions: most of a Poincaré map's work is scaling an
+(n, d) block by (n, 1) row factors and summing gradients back down to
+them.  numpy's broadcasting ``*`` runs short inner loops of d entries,
+and summing a product means a second pass over an (n, d) temporary; one
+``np.einsum`` call does either in one pass (µs on a (3280, 16) block,
+2-vCPU Xeon, the helpers' own call included):
+
+    ===================================  =====  =======================
+    operation                            numpy  einsum
+    ===================================  =====  =======================
+    ``(a*a).sum(axis=1)`` (`row_norm`)      73  18 (``ij,ij->i``)
+    ``_row_sums(g*a)``                      39  20 (``ij,ij->i``)
+    ``_row_sums(g*r)``, r (1, d)            51  18 (``ij,j->i``)
+    ``_column_sums(g*b)``, b (n, 1)         52  19 (``ij,i->j``)
+    ``b*r``, b (n, 1), r (1, d)             50  29 (``i,j->ij``)
+    ``a*b``, b (n, 1)                       37  30 (``ij,i->ij``)
+    ===================================  =====  =======================
+
+`_scaled` makes such a product and `_contracted` sums one down to a
+broadcast operand's shape without an (n, d) temporary; the engine sums
+other contributions with `_column_sums` and `_row_sums`.  Never BLAS and
+never ``optimize=True``: a BLAS product may add in another order under
+another thread count.  A product keeps the bits of ``*``, except that a
+zero product reads +0.0 and that where two NaNs meet either may be kept; a
+sum down to a (1, d) row keeps the bits of ``sum(axis=0)``; a sum down to
+an (n, 1) column or a (1, 1) scalar differs from ``sum`` in the last few
+ulps.
 
 Lifetime: a Node holds its Tape, its parents and its backward rules; the
 Tape holds its Nodes only through weak references.  There is no reference
@@ -322,6 +342,42 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _einsum_operand(x: np.ndarray):
+    """x's einsum subscripts ("i" for rows, "j" for columns) and x without
+    its length-1 axes, a view."""
+    rows, cols = x.shape
+    if rows != 1:
+        return ("ij", x) if cols != 1 else ("i", x[:, 0])
+    return ("j", x[0]) if cols != 1 else ("", x.reshape(()))
+
+
+def _scaled(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y * x -> fresh C-ordered array.  An (n, d) result with one operand
+    broadcast along one axis, an (n, 1) by a (1, d) included, is one einsum
+    pass; any other shape is numpy's ``*``.  Each entry is one correctly
+    rounded product, but einsum adds it to a zeroed output, so a product of
+    -0.0 reads +0.0 (and where two NaNs meet, either may be kept)."""
+    (n, d), (m, e) = y.shape, x.shape
+    if (n, d) == (m, e) or max(n, m) == 1 or max(d, e) == 1 or 1 in (n * d, m * e):
+        return np.multiply(y, x, order="C")
+    (ys, ya), (xs, xa) = _einsum_operand(y), _einsum_operand(x)
+    return np.einsum(f"{ys},{xs}->ij", ya, xa, order="C")
+
+
+def _contracted(g: np.ndarray, x: np.ndarray, shape) -> np.ndarray:
+    """g * x summed down to `shape`, a broadcast operand's shape -> fresh
+    array, by one einsum and without a temporary of g's shape.  Down to a
+    (1, d) row it keeps the bits of ``_column_sums(g * x)`` for a
+    C-ordered g; down to an (n, 1) column or a (1, 1) scalar it adds in
+    another order than `_unbroadcast`, within (N - 1)·eps·sum|g·x| for N
+    terms per sum."""
+    (gs, ga), (xs, xa) = _einsum_operand(g), _einsum_operand(x)
+    out = np.empty(shape)
+    outs, outa = _einsum_operand(out)
+    np.einsum(f"{gs},{xs}->{outs}", ga, xa, out=outa)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic (numpy broadcasting applies)
 # ---------------------------------------------------------------------------
@@ -337,7 +393,14 @@ def sub(a: Node, b: Node) -> Node:
 
 
 def mul(a: Node, b: Node) -> Node:
-    return _record(a.data * b.data, (a, b), lambda g: g * b.data, lambda g: g * a.data)
+    x, y = a.data, b.data
+    raw = _scaled(x, y)
+
+    # a broadcast operand's contribution comes already summed to its shape
+    def rule(g, this, other):
+        return _scaled(g, other) if this.shape == g.shape else _contracted(g, other, this.shape)
+
+    return _record(raw, (a, b), lambda g: rule(g, x, y), lambda g: rule(g, y, x))
 
 
 def div(a: Node, b: Node) -> Node:
@@ -347,6 +410,13 @@ def div(a: Node, b: Node) -> Node:
 
     def rule_b(g):
         with np.errstate(divide="ignore", invalid="ignore"):
+            if b.shape != g.shape:
+                # sum first: a finite sum means every g·a term was finite,
+                # and then a zero divisor's row or column comes out zeroed
+                # as it does term by term; otherwise zero term by term
+                s = _contracted(g, a.data, b.shape)
+                if np.isfinite(s).all():
+                    return _finite(-s / (b.data * b.data))
             return _finite(-g * a.data / (b.data * b.data))
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -414,17 +484,18 @@ def row_sum(a: Node) -> Node:
 def row_norm(a: Node) -> Node:
     """Euclidean norm of each row -> (n, 1), accumulated in double.  Zero
     rows send no gradient."""
-    # a row sum of squares: unlike geometry.row_norms it is not np.linalg.norm
-    # (they differ in the last ulp on 8% of random rows at d = 2, 19% at
-    # d = 16), so fused kernels built on row_norms will move trajectory bits
-    raw = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
+    # one einsum pass over the squares.  np.linalg.norm, which
+    # geometry.row_norms matches bit for bit, adds them in another order;
+    # the two differ in the last ulps, within (d - 1)·eps·sum(x²) before the
+    # sqrt, so fused kernels built on row_norms will move trajectory bits
+    raw = np.empty((a.shape[0], 1))
+    np.sqrt(np.einsum("ij,ij->i", a.data, a.data), out=raw[:, 0])
 
     def rule(g):
         if (raw > 0).all():
-            direction = a.data / raw
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                direction = np.where(raw > 0, a.data / np.where(raw > 0, raw, 1.0), 0.0)
+            return _scaled(a.data, g / raw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direction = np.where(raw > 0, a.data / np.where(raw > 0, raw, 1.0), 0.0)
         return g * direction
 
     return _record(raw, (a,), rule)

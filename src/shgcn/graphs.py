@@ -12,6 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree, shortest_path
 
+# a loaded edge list's node count is its largest id + 1; ids at or above
+# this are refused before anything sized by the node count is allocated
+MAX_NODES = 1_000_000
 DELTA_NODE_CAP = 600
 DELTA_J_CHUNK = 32  # js per chunk of the 4-set sweep
 DELTA_K_BLOCK = 16  # ks per block of the 4-set sweep
@@ -573,6 +576,8 @@ def load_graph(edges_path: str, features_path: str | None = None,
     if edges.shape[1] != 2:
         raise ValueError(f"edge file must have two columns, got {edges.shape[1]}")
     n = int(edges.max()) + 1 if edges.size else 0
+    if n > MAX_NODES:
+        raise ValueError(f"node id {n - 1} in {edges_path} is above the limit of {MAX_NODES - 1}")
     features = None
     if features_path is not None:
         features = _read_table(features_path)

@@ -574,11 +574,13 @@ def test_flat_gather_scatter_matches_row_scatter_bit_for_bit():
     assert np.array_equal(x.grad, expected)
 
 
-def _old_div_grads(a, b):
+def _parent_div_grads(a0, b0):
+    """The gradients of sum(a / b) as the term-by-term rules give them: each
+    term zeroed where it is not finite, then summed to the operand's shape."""
+    g = np.ones(np.broadcast_shapes(a0.shape, b0.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ga, gb = 1.0 / b, -1.0 * a / (b * b)
-    clean = lambda t: np.nan_to_num(t, nan=0.0, posinf=0.0, neginf=0.0)  # noqa: E731
-    return clean(ga), clean(gb)
+        ga, gb = ad._finite(g / b0), ad._finite(-g * a0 / (b0 * b0))
+    return ad._unbroadcast(ga, a0.shape), ad._unbroadcast(gb, b0.shape)
 
 
 @pytest.mark.parametrize("b0", [X_POS + 3.0, np.where(X_POS > 1.0, 0.0, X_POS)],
@@ -588,7 +590,7 @@ def test_div_gradients_on_fast_path_and_fallback(b0):
     a, b = tape.variable(X_SMALL), tape.variable(b0)
     with np.errstate(invalid="ignore"):  # inf - inf in the forward sum
         tape.backward(ad.sum_all(a / b))
-    ga, gb = _old_div_grads(X_SMALL, b0)
+    ga, gb = _parent_div_grads(X_SMALL, b0)
     assert np.array_equal(a.grad, ga) and np.array_equal(b.grad, gb)
 
 
@@ -598,12 +600,25 @@ def test_row_norm_on_fast_path_and_fallback(x0):
     tape = Tape()
     x = tape.variable(x0)
     norms = ad.row_norm(x)
-    raw = np.linalg.norm(x0, axis=1, keepdims=True)
-    assert np.array_equal(norms.data, raw)
-    tape.backward(ad.sum_all(norms * tape.constant(W_42[:3, :1])))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direction = np.where(raw > 0, x0 / np.where(raw > 0, raw, 1.0), 0.0)
-    assert np.array_equal(x.grad, W_42[:3, :1] * direction)
+    g = W_42[:3, :1]
+    if (x0 != 0).any(axis=1).all():
+        # one einsum pass over the squares; the rule scales each row by g / norm
+        raw = np.sqrt(np.einsum("ij,ij->i", x0, x0))[:, None]
+        assert np.array_equal(norms.data, raw)
+        # np.linalg.norm adds the same squares in another order: the sums lie
+        # within (d - 1)·eps·Σx² of each other, and each sqrt rounds once
+        eps, ref = np.finfo(np.float64).eps, np.linalg.norm(x0, axis=1, keepdims=True)
+        sum_gap = (x0.shape[1] - 1) * eps * (x0 * x0).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(raw - ref) <= sum_gap / (raw + ref) + eps * ref)
+        tape.backward(ad.sum_all(norms * tape.constant(g)))
+        assert np.array_equal(x.grad, x0 * (g / raw))
+    else:
+        raw = np.linalg.norm(x0, axis=1, keepdims=True)
+        assert np.array_equal(norms.data, raw)
+        tape.backward(ad.sum_all(norms * tape.constant(W_42[:3, :1])))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direction = np.where(raw > 0, x0 / np.where(raw > 0, raw, 1.0), 0.0)
+        assert np.array_equal(x.grad, W_42[:3, :1] * direction)
     assert np.all(np.isfinite(x.grad))
 
 
@@ -819,6 +834,173 @@ def test_broadcast_operand_gradient_is_its_reduced_incoming_gradient(shape):
     assert b.grad.shape == shape and b.grad.flags.c_contiguous
 
 
+# ---------------------------------------------------------------------------
+# broadcast products and contractions by einsum
+# ---------------------------------------------------------------------------
+
+
+def _special(x, rng):
+    """x with some entries set to -0.0, +inf, -inf and NaN."""
+    x = x.copy()
+    for value in (-0.0, np.inf, -np.inf, np.nan):
+        x[rng.random(x.shape) < 0.05] = value
+    return x
+
+
+def _layouts(x):
+    """x as C-ordered, F-ordered and strided arrays of one shape."""
+    wide = np.zeros((2 * x.shape[0], 3 * x.shape[1]))
+    wide[::2, ::3] = x
+    return [x, np.asfortranarray(x), wide[::2, ::3]]
+
+
+def _factor_pairs(n, d, seed):
+    """(y, x) pairs whose product is (n, d) with one operand broadcast:
+    (n, 1), (1, d) and (1, 1) factors on either side, and both outer
+    products, in every layout, plain and with special entries."""
+    rng = np.random.default_rng(seed)
+    full = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+    pairs = []
+    for shape in [(n, 1), (1, d), (1, 1)]:
+        factor = rng.normal(size=shape)
+        pairs += [(full, factor), (factor, full)]
+    col, row = rng.normal(size=(n, 1)), rng.normal(size=(1, d))
+    pairs += [(col, row), (row, col)]
+    out = []
+    for y, x in pairs:
+        for y2, x2 in [(y, x), (_special(y, rng), _special(x, rng))]:
+            out += [(ya, xa) for ya in _layouts(y2) for xa in _layouts(x2)]
+    return out
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (7, 3), (1093, 16), (257, 33)])
+def test_scaled_keeps_the_bits_of_broadcast_multiply(n, d):
+    with np.errstate(invalid="ignore"):  # inf * 0
+        for y, x in _factor_pairs(n, d, seed=n):
+            got, want = ad._scaled(y, x), y * x
+            if y.size > 1 and x.size > 1:
+                # einsum adds each product to a zeroed output: -0.0 reads +0.0
+                want = want + 0.0
+                assert not np.signbit(got[got == 0]).any()
+            assert _same_bits_or_both_nan(got, want), (y.shape, x.shape)
+            both_nan = np.isnan(np.broadcast_to(y, want.shape)) & np.isnan(
+                np.broadcast_to(x, want.shape))
+            assert got[~both_nan].tobytes() == want[~both_nan].tobytes()
+            assert got.dtype == np.float64 and got.base is None
+            assert got.flags.c_contiguous and got.flags.writeable
+
+
+def _gradients(n, d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+    return [g, _special(g, rng)]
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (7, 3), (1093, 16), (257, 33)])
+def test_contracted_to_a_row_keeps_the_bits_of_column_sums(n, d):
+    rng = np.random.default_rng(d)
+    with np.errstate(invalid="ignore"):  # inf - inf in the special sums
+        for g in _gradients(n, d, seed=n):
+            for x in [rng.normal(size=(n, 1)), rng.normal(size=(n, d)), np.array([[0.7]])]:
+                for xa in _layouts(_special(x, rng)) + _layouts(x):
+                    got, want = ad._contracted(g, xa, (1, d)), ad._column_sums(g * xa)
+                    assert _same_bits_or_both_nan(got, want), (xa.shape, xa.flags.f_contiguous)
+                    if not np.isnan(want).any():
+                        assert got.tobytes() == want.tobytes()
+                    assert got.shape == (1, d) and got.base is None
+                    assert got.flags.c_contiguous and got.flags.writeable
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (2, 2), (7, 3), (1093, 16), (257, 33)])
+def test_contracted_to_a_column_or_scalar_stays_within_the_summation_bound(n, d):
+    # each order of adding N products errs by at most (N - 1)·u·Σ|g·x| (u =
+    # eps/2), so two orders lie within (N - 1)·eps·Σ|g·x| of each other
+    rng = np.random.default_rng(n + d)
+    eps = np.finfo(np.float64).eps
+    g = _gradients(n, d, seed=d)[0]
+    for x in [rng.normal(size=(n, d)), rng.normal(size=(1, d)), np.array([[-1.3]]),
+              rng.normal(size=(n, 1))]:
+        for xa in _layouts(x):
+            prod = g * xa
+            for shape, terms in [((n, 1), d), ((1, 1), n * d)]:
+                got = ad._contracted(g, xa, shape)
+                want = ad._unbroadcast(prod, shape)
+                bound = (terms - 1) * eps * ad._unbroadcast(np.abs(prod), shape)
+                assert got.shape == shape and np.all(np.abs(got - want) <= bound)
+                assert got.base is None and got.flags.c_contiguous and got.flags.writeable
+
+
+SHAPES = {"full": (3, 4), "column": (3, 1), "row": (1, 4), "scalar": (1, 1)}
+
+
+def _check_pair(op, a0, b0):
+    """Tape gradients of sum(op(a, b) * w) against central differences, for
+    both operands."""
+    w = np.random.default_rng(8).normal(size=np.broadcast_shapes(a0.shape, b0.shape))
+
+    def loss(tape, a, b):
+        return ad.sum_all(op(a, b) * tape.constant(w))
+
+    tape = Tape()
+    a, b = tape.variable(a0), tape.variable(b0)
+    tape.backward(loss(tape, a, b))
+    for node, value, other, first in [(a, a0, b0, True), (b, b0, a0, False)]:
+        def f(arr, other=other, first=first):
+            t = Tape()
+            args = (t.variable(arr), t.variable(other))
+            return loss(t, *(args if first else args[::-1])).item()
+
+        assert node.grad.shape == value.shape
+        assert rel_err(node.grad, finite_diff_grad(f, value)) < 1e-5
+
+
+@pytest.mark.parametrize("b_shape", list(SHAPES))
+@pytest.mark.parametrize("a_shape", list(SHAPES))
+@pytest.mark.parametrize("op", ["mul", "div"])
+def test_mul_and_div_gradients_for_every_broadcast_pair(op, a_shape, b_shape):
+    rng = np.random.default_rng(3)
+    a0 = rng.uniform(-2, 2, size=SHAPES[a_shape])
+    b0 = rng.uniform(-2, 2, size=SHAPES[b_shape])
+    if op == "div":
+        b0 = np.sign(b0) * (np.abs(b0) + 0.5)  # away from zero
+    _check_pair(ad.mul if op == "mul" else ad.div, a0, b0)
+
+
+def _div_grads(a0, b0):
+    tape = Tape()
+    a, b = tape.variable(a0), tape.variable(b0)
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf - inf in the forward sum
+        tape.backward(ad.sum_all(a / b))
+    return a.grad, b.grad
+
+
+@pytest.mark.parametrize("b_shape", ["column", "row", "scalar"])
+def test_div_by_a_broadcast_zero_divisor_zeroes_its_contribution(b_shape):
+    b0 = np.random.default_rng(5).uniform(0.5, 2.0, size=SHAPES[b_shape])
+    b0.flat[0] = 0.0
+    ga, gb = _div_grads(X_SMALL, b0)
+    old_a, old_b = _parent_div_grads(X_SMALL, b0)
+    assert np.array_equal(ga, old_a)
+    assert gb[0, 0] == 0.0 and old_b[0, 0] == 0.0
+    # elsewhere the terms are summed before the division, not after
+    assert np.allclose(gb, old_b, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("b_shape", ["column", "row", "scalar"])
+def test_div_with_a_non_finite_numerator_keeps_the_term_by_term_zeroing(b_shape, value):
+    a0 = X_SMALL.copy()
+    a0[1, 2] = value
+    b0 = np.random.default_rng(6).uniform(0.5, 2.0, size=SHAPES[b_shape])
+    if b0.size > 1:
+        b0.flat[-1] = 0.0  # and a zero divisor elsewhere
+    ga, gb = _div_grads(a0, b0)
+    old_a, old_b = _parent_div_grads(a0, b0)
+    assert np.array_equal(ga, old_a)
+    assert gb.tobytes() == old_b.tobytes()
+    assert np.isfinite(gb).all() and (gb != 0).any()
+
+
 # OpenBLAS splits a long product between its threads, so a sum that goes
 # through BLAS can add in another order under another thread count: a gemv
 # row sum of a (88573, 8) array and `ones @ column` on 30000 rows both do
@@ -847,17 +1029,55 @@ print(digest.hexdigest())
 """
 
 
-def test_tape_gradient_bytes_do_not_depend_on_the_blas_thread_count():
+# every broadcast pair of mul and div: a contraction by einsum with
+# optimize=True would go through BLAS dot and gemv
+BROADCAST_BYTES = """
+import hashlib
+import numpy as np
+from shgcn import autodiff as ad
+from shgcn.autodiff import Tape
+
+rng = np.random.default_rng(1)
+digest = hashlib.sha256()
+for n, d in [(30000, 16), (88573, 8)]:
+    tape = Tape()
+    x = tape.variable(rng.normal(size=(n, d)))
+    col = tape.variable(rng.normal(size=(n, 1)))
+    row = tape.variable(rng.normal(size=(1, d)))
+    c = tape.variable([[0.7]])
+    h = (x * col + col * row + row * x + c * x + x / (col * col + 1.0)
+         + x / (row * row + 1.0) + x / (c * c + 1.0))
+    k = col * c + col / (c * c + 1.0) + ad.row_norm(x)
+    loss = ad.mean_all(ad.tanh(h)) + ad.mean_all(ad.tanh(k))
+    tape.backward(loss, release=True)
+    for node in (x, col, row, c):
+        digest.update(node.grad.tobytes())
+    del tape, x, col, row, c, h, k, loss
+print(digest.hexdigest())
+"""
+
+
+def _digests_under_one_and_two_threads(script):
     src = str(Path(__file__).resolve().parent.parent / "src")
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", GRADIENT_BYTES], capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
+    return digests
+
+
+def test_tape_gradient_bytes_do_not_depend_on_the_blas_thread_count():
+    digests = _digests_under_one_and_two_threads(GRADIENT_BYTES)
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def test_broadcast_gradient_bytes_do_not_depend_on_the_blas_thread_count():
+    digests = _digests_under_one_and_two_threads(BROADCAST_BYTES)
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from shgcn import training
 from shgcn.cli import OPTIONS, main
+from shgcn.graphs import MAX_NODES
 
 
 def run_cli(args, tmp_path, monkeypatch, capsys):
@@ -423,6 +424,19 @@ def test_hyperbolicity_id_beyond_int64_exits_2_naming_the_file(tmp_path, monkeyp
     assert code == 2
     assert f"id or label out of range in {edges}" in err
     assert "delta" not in out
+
+
+@pytest.mark.parametrize("top", [3_000_000_000, MAX_NODES])
+@pytest.mark.parametrize("command", ["hyperbolicity", "run"])
+def test_node_id_above_the_limit_exits_2_before_sizing_the_graph(tmp_path, monkeypatch, capsys,
+                                                                 top, command):
+    # the graph would have top + 1 nodes: 22 GiB of zeros for top = 3e9
+    edges = tmp_path / "e.txt"
+    edges.write_text(f"0 1\n1 2\n2 {top}\n")
+    code, out, err = run_cli([command, "--edges", str(edges)], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert f"node id {top} in {edges} is above the limit of {MAX_NODES - 1}" in err
+    assert "Traceback" not in err and "delta" not in out
 
 
 def test_hyperbolicity_cap_exceeded_exits_2(tmp_path, monkeypatch, capsys):

@@ -9,6 +9,13 @@ erdos:40,0.1, built as `shgcn run --task gr` builds them.  Every run uses
 seed 0 and the default model and training settings.
 
     PYTHONPATH=src python tools/trajectory_digests.py [--epochs 12] > digests.txt
+
+With `--against FILE` it compares its lines with an earlier output instead
+of printing them: each line that moved (or appears on one side only) is
+printed with the old and new digest, then a count, and the exit status is
+1 if any line moved, 0 if none did.
+
+    PYTHONPATH=src python tools/trajectory_digests.py --against digests.txt
 """
 
 from __future__ import annotations
@@ -62,12 +69,34 @@ def trajectory_digests(epochs: int) -> list[str]:
     return lines
 
 
+def moved_lines(old: list[str], new: list[str]) -> list[str]:
+    """One line per cell whose digest differs between two outputs, or that
+    only one of them has: `<cell> <old digest> -> <new digest>`, with `-`
+    for a missing side."""
+    before, after = (dict(line.rsplit(" ", 1) for line in lines if line.strip())
+                     for lines in (old, new))
+    cells = list(before) + [cell for cell in after if cell not in before]
+    return [f"{cell} {before.get(cell, '-')} -> {after.get(cell, '-')}"
+            for cell in cells if before.get(cell) != after.get(cell)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--epochs", type=int, default=12)
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with an earlier output; exit 1 if any line moved")
     args = parser.parse_args(argv)
-    print("\n".join(trajectory_digests(args.epochs)))
-    return 0
+    lines = trajectory_digests(args.epochs)
+    if args.against is None:
+        print("\n".join(lines))
+        return 0
+    with open(args.against) as f:
+        old = f.read().splitlines()
+    moved = moved_lines(old, lines)
+    for line in moved:
+        print(line)
+    print(f"{len(moved)} of {len(lines)} lines moved")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
