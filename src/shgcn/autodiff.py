@@ -26,7 +26,10 @@ new array, ``g`` itself, a view of ``g``, or None when it sends nothing
 not the rule, decides the rest: it checks that the operands share one
 mode and one tape, keeps no parents and no rules for a node computed from
 constants alone, runs a rule only for an operand that needs a gradient,
-and sums a contribution down to a broadcast operand's shape.  During
+and sums a contribution longer than its operand down to the operand's
+shape with `_summed`.  A rule whose contribution is a product, `mul`'s
+and `div`'s for a broadcast divisor, hands both factors to `_summed`
+itself, so the product is summed as it is formed.  During
 ``Tape.backward`` a node's buffer is created by its first contribution:
 adopted when it is a new array, copied when it is ``g`` or a view of it, so
 no two nodes share a buffer.  A node that no contribution reaches keeps
@@ -36,30 +39,25 @@ once the sweep is done.
 Broadcasts and reductions: most of a Poincaré map's work is scaling an
 (n, d) block by (n, 1) row factors and summing gradients back down to
 them.  numpy's broadcasting ``*`` runs short inner loops of d entries,
-and summing a product means a second pass over an (n, d) temporary; one
-``np.einsum`` call does either in one pass (µs on a (3280, 16) block,
-2-vCPU Xeon, the helpers' own call included):
+and summing a product means a second pass over an (n, d) temporary;
+`_summed` does either in one ``np.einsum`` pass (µs on a (3280, 16)
+block, 2-vCPU Xeon, the call into `_summed` included):
 
     ===================================  =====  =======================
-    operation                            numpy  einsum
+    numpy                                numpy  einsum
     ===================================  =====  =======================
-    ``(a*a).sum(axis=1)`` (`row_norm`)      73  18 (``ij,ij->i``)
-    ``_row_sums(g*a)``                      39  20 (``ij,ij->i``)
-    ``_row_sums(g*r)``, r (1, d)            51  18 (``ij,j->i``)
-    ``_column_sums(g*b)``, b (n, 1)         52  19 (``ij,i->j``)
-    ``b*r``, b (n, 1), r (1, d)             50  29 (``i,j->ij``)
-    ``a*b``, b (n, 1)                       37  30 (``ij,i->ij``)
+    ``(a*a).sum(axis=1)`` (`row_norm`)      73  19 (``ij,ij->i``)
+    ``(g*r).sum(axis=1)``, r (1, d)         90  18 (``ij,ij->i``)
+    ``(g*b).sum(axis=0)``, b (n, 1)         90  19 (``ij,ij->j``)
+    ``g.sum(axis=0)``                       58  14 (``ij->j``)
+    ``g.sum(axis=1)``                       54  14 (``ij->i``)
+    ``b*r``, b (n, 1), r (1, d)             50  28 (``ij,ij->ij``)
+    ``a*b``, b (n, 1)                       36  30 (``ij,ij->ij``)
     ===================================  =====  =======================
 
-`_scaled` makes such a product and `_contracted` sums one down to a
-broadcast operand's shape without an (n, d) temporary; the engine sums
-other contributions with `_column_sums` and `_row_sums`.  Never BLAS and
-never ``optimize=True``: a BLAS product may add in another order under
-another thread count.  A product keeps the bits of ``*``, except that a
-zero product reads +0.0 and that where two NaNs meet either may be kept; a
-sum down to a (1, d) row keeps the bits of ``sum(axis=0)``; a sum down to
-an (n, 1) column or a (1, 1) scalar differs from ``sum`` in the last few
-ulps.
+Never BLAS and never ``optimize=True``: a BLAS product may add in another
+order under another thread count.  `_summed` says where its bits differ
+from numpy's.
 
 Lifetime: a Node holds its Tape, its parents and its backward rules; the
 Tape holds its Nodes only through weak references.  There is no reference
@@ -256,10 +254,10 @@ def _record(raw: np.ndarray, operands: tuple, *rules) -> Node:
     the incoming gradient `g` to its operand's contribution: a new array,
     `g` itself, a view of `g`, or None when it sends nothing (a scatter
     writes into `_buffer(operand)` and returns None).  The engine runs a
-    rule only for an operand that needs a gradient, sums the contribution
-    down to a broadcast operand's shape, and adopts it as the operand's
-    buffer only when it is neither `g` nor a view.  A result of constants
-    alone drops its operands and rules."""
+    rule only for an operand that needs a gradient, sums a contribution
+    longer than its operand down to the operand's shape, and adopts it as
+    the operand's buffer only when it is neither `g` nor a view.  A result
+    of constants alone drops its operands and rules."""
     first = operands[0]
     mode, tape = first.value.mode, first.tape
     for p in operands[1:]:
@@ -276,8 +274,9 @@ def _record(raw: np.ndarray, operands: tuple, *rules) -> Node:
         for p, rule in sends:
             c = rule(g)
             if c is not None:
-                if c.shape != p.value.data.shape:
-                    c = _unbroadcast(c, p.value.data.shape)
+                shape = p.value.data.shape
+                if c.shape[0] > shape[0] or c.shape[1] > shape[1]:
+                    c = _summed(shape, c)
                 _accumulate(p, c, fresh=c is not g and c.base is None)
 
     return Node(value, tape, operands, backward)
@@ -309,72 +308,42 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return np.nan_to_num(x, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient down to the shape of a broadcast operand: over its
-    rows first, then over its columns."""
-    if shape[0] == 1 and g.shape[0] != 1:
-        g = _column_sums(g)
-    if shape[1] == 1 and g.shape[1] != 1:
-        g = _row_sums(g)
-    return g
+# einsum subscripts of x and of x·y summed down to a shape, keyed by which
+# of its axes have length 1, and the view of the result that they write
+_SUMS = {
+    (False, False): ("ij->ij", "ij,ij->ij", ...),
+    (False, True): ("ij->i", "ij,ij->i", (slice(None), 0)),
+    (True, False): ("ij->j", "ij,ij->j", 0),
+    (True, True): ("ij->", "ij,ij->", (0, 0, ...)),
+}
 
 
-def _column_sums(x: np.ndarray) -> np.ndarray:
-    """Sum of each column -> fresh (1, d), with the bits of
-    ``x.sum(axis=0, keepdims=True)``.  On a C-ordered array with d >= 2
-    both add the rows one after another, in order; numpy sums a contiguous
-    column pairwise instead, so a single column or an F-ordered array keeps
-    ``sum``.  (Where two NaNs of opposite sign meet, the two may keep
-    different ones.)"""
-    if x.shape[1] < 2 or not x.flags.c_contiguous:
-        return x.sum(axis=0, keepdims=True)
-    out = np.empty((1, x.shape[1]))
-    np.einsum("ij->j", x, out=out[0])
-    return out
-
-
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Sum of each row -> fresh (n, 1).  einsum adds a row in another order
-    than ``x.sum(axis=1)``; the two lie within (d - 1)·eps·sum|x| of each
-    other.  Below about 64 rows it is slower, by under 1 µs."""
-    out = np.empty((x.shape[0], 1))
-    np.einsum("ij->i", x, out=out[:, 0])
-    return out
-
-
-def _einsum_operand(x: np.ndarray):
-    """x's einsum subscripts ("i" for rows, "j" for columns) and x without
-    its length-1 axes, a view."""
-    rows, cols = x.shape
-    if rows != 1:
-        return ("ij", x) if cols != 1 else ("i", x[:, 0])
-    return ("j", x[0]) if cols != 1 else ("", x.reshape(()))
-
-
-def _scaled(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y * x -> fresh C-ordered array.  An (n, d) result with one operand
-    broadcast along one axis, an (n, 1) by a (1, d) included, is one einsum
-    pass; any other shape is numpy's ``*``.  Each entry is one correctly
-    rounded product, but einsum adds it to a zeroed output, so a product of
-    -0.0 reads +0.0 (and where two NaNs meet, either may be kept)."""
-    (n, d), (m, e) = y.shape, x.shape
-    if (n, d) == (m, e) or max(n, m) == 1 or max(d, e) == 1 or 1 in (n * d, m * e):
-        return np.multiply(y, x, order="C")
-    (ys, ya), (xs, xa) = _einsum_operand(y), _einsum_operand(x)
-    return np.einsum(f"{ys},{xs}->ij", ya, xa, order="C")
-
-
-def _contracted(g: np.ndarray, x: np.ndarray, shape) -> np.ndarray:
-    """g * x summed down to `shape`, a broadcast operand's shape -> fresh
-    array, by one einsum and without a temporary of g's shape.  Down to a
-    (1, d) row it keeps the bits of ``_column_sums(g * x)`` for a
-    C-ordered g; down to an (n, 1) column or a (1, 1) scalar it adds in
-    another order than `_unbroadcast`, within (N - 1)·eps·sum|g·x| for N
-    terms per sum."""
-    (gs, ga), (xs, xa) = _einsum_operand(g), _einsum_operand(x)
+def _summed(shape, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """x·y broadcast (x alone when y is None), summed down to `shape` ->
+    fresh C-ordered float64 array, in one einsum pass: both inputs are
+    labelled "ij", and einsum broadcasts a length-1 axis against its label.
+    einsum adds each product to a zeroed output, so a lone product of -0.0
+    reads +0.0 (and where two NaNs meet, either may be kept).  Two cases
+    keep numpy's bits instead: a product with nothing to sum whose operands
+    have one shape, or one of which is (1, 1), is ``np.multiply``; x alone
+    summed over its rows is ``x.sum(axis=0)`` when x has one column or is
+    not C-ordered, since numpy adds a contiguous column pairwise.  Any other
+    sum down to a (1, d) row keeps the bits of ``sum(axis=0)``; one down to
+    an (n, 1) column or a (1, 1) scalar adds in another order than ``sum``,
+    within (N - 1)·eps·sum|x·y| of it for N terms per sum."""
+    if y is None:
+        if shape[0] == 1 and (x.shape[1] == 1 or not x.flags.c_contiguous):
+            x = x.sum(axis=0, keepdims=True)
+            if x.shape == shape:
+                return x
+    elif x.shape == shape and (y.shape == shape or y.size == 1) or y.shape == shape and x.size == 1:
+        return np.multiply(x, y, order="C")
+    alone, product, view = _SUMS[shape[0] == 1, shape[1] == 1]
     out = np.empty(shape)
-    outs, outa = _einsum_operand(out)
-    np.einsum(f"{gs},{xs}->{outs}", ga, xa, out=outa)
+    if y is None:
+        np.einsum(alone, x, out=out[view])
+    else:
+        np.einsum(product, x, y, out=out[view])
     return out
 
 
@@ -394,13 +363,10 @@ def sub(a: Node, b: Node) -> Node:
 
 def mul(a: Node, b: Node) -> Node:
     x, y = a.data, b.data
-    raw = _scaled(x, y)
-
+    shape = (max(x.shape[0], y.shape[0]), max(x.shape[1], y.shape[1]))
     # a broadcast operand's contribution comes already summed to its shape
-    def rule(g, this, other):
-        return _scaled(g, other) if this.shape == g.shape else _contracted(g, other, this.shape)
-
-    return _record(raw, (a, b), lambda g: rule(g, x, y), lambda g: rule(g, y, x))
+    return _record(_summed(shape, x, y), (a, b),
+                   lambda g: _summed(x.shape, g, y), lambda g: _summed(y.shape, g, x))
 
 
 def div(a: Node, b: Node) -> Node:
@@ -414,7 +380,7 @@ def div(a: Node, b: Node) -> Node:
                 # sum first: a finite sum means every g·a term was finite,
                 # and then a zero divisor's row or column comes out zeroed
                 # as it does term by term; otherwise zero term by term
-                s = _contracted(g, a.data, b.shape)
+                s = _summed(b.shape, g, a.data)
                 if np.isfinite(s).all():
                     return _finite(-s / (b.data * b.data))
             return _finite(-g * a.data / (b.data * b.data))
@@ -478,7 +444,7 @@ def mean_all(a: Node) -> Node:
 def row_sum(a: Node) -> Node:
     """Sum along each row -> (n, 1)."""
     # the (n, 1) gradient broadcasts over (n, d)
-    return _record(_row_sums(a.data), (a,), lambda g: g)
+    return _record(_summed((a.shape[0], 1), a.data), (a,), lambda g: g)
 
 
 def row_norm(a: Node) -> Node:
@@ -488,12 +454,12 @@ def row_norm(a: Node) -> Node:
     # geometry.row_norms matches bit for bit, adds them in another order;
     # the two differ in the last ulps, within (d - 1)·eps·sum(x²) before the
     # sqrt, so fused kernels built on row_norms will move trajectory bits
-    raw = np.empty((a.shape[0], 1))
-    np.sqrt(np.einsum("ij,ij->i", a.data, a.data), out=raw[:, 0])
+    raw = _summed((a.shape[0], 1), a.data, a.data)
+    np.sqrt(raw, out=raw)
 
     def rule(g):
         if (raw > 0).all():
-            return _scaled(a.data, g / raw)
+            return _summed(a.shape, a.data, g / raw)
         with np.errstate(divide="ignore", invalid="ignore"):
             direction = np.where(raw > 0, a.data / np.where(raw > 0, raw, 1.0), 0.0)
         return g * direction

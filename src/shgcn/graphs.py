@@ -439,10 +439,12 @@ def _landmark_features(adj: sp.csr_matrix) -> np.ndarray:
         profiles = shortest_path(adj, method="D", unweighted=True, indices=landmarks).T
     else:
         # an unreachable pair sits one step beyond the largest finite
-        # distance anywhere in the graph, which needs every pair
-        dist = shortest_path(adj, method="D", unweighted=True)
-        finite = np.where(np.isfinite(dist), dist, dist[np.isfinite(dist)].max() + 1.0)
-        profiles = finite[:, landmarks]
+        # distance, which joins two nodes that have an edge (or is 0): BFS
+        # from those and the landmarks suffices; isolated nodes add no row
+        sources = np.union1d(landmarks, np.flatnonzero(np.diff(adj.indptr)))
+        dist = shortest_path(adj, method="D", unweighted=True, indices=sources)
+        dist[np.isinf(dist)] = dist[np.isfinite(dist)].max() + 1.0
+        profiles = dist[np.searchsorted(sources, landmarks)].T
     return np.exp(-profiles / FEATURE_TEMPERATURE)
 
 

@@ -580,7 +580,8 @@ def _parent_div_grads(a0, b0):
     g = np.ones(np.broadcast_shapes(a0.shape, b0.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
         ga, gb = ad._finite(g / b0), ad._finite(-g * a0 / (b0 * b0))
-    return ad._unbroadcast(ga, a0.shape), ad._unbroadcast(gb, b0.shape)
+    return tuple(c if c.shape == shape else ad._summed(shape, c)
+                 for c, shape in [(ga, a0.shape), (gb, b0.shape)])
 
 
 @pytest.mark.parametrize("b0", [X_POS + 3.0, np.where(X_POS > 1.0, 0.0, X_POS)],
@@ -790,7 +791,7 @@ def _same_bits_or_both_nan(a, b):
 def test_column_sums_keep_the_bits_of_sum_over_rows():
     with np.errstate(invalid="ignore"):  # inf - inf in the special arrays
         for x in REDUCTION_INPUTS:
-            got, want = ad._column_sums(x), x.sum(axis=0, keepdims=True)
+            got, want = ad._summed((1, x.shape[1]), x), x.sum(axis=0, keepdims=True)
             assert _same_bits_or_both_nan(got, want), (x.shape, x.flags.f_contiguous)
             if not np.isnan(want).any():
                 assert got.tobytes() == want.tobytes()
@@ -799,8 +800,8 @@ def test_column_sums_keep_the_bits_of_sum_over_rows():
 
 def test_column_sums_of_a_negative_zero_column_stay_bit_identical():
     x = np.full((6, 3), -0.0)
-    assert ad._column_sums(x).tobytes() == x.sum(axis=0, keepdims=True).tobytes()
-    assert ad._column_sums(x[:, :1]).tobytes() == x[:, :1].sum(axis=0, keepdims=True).tobytes()
+    assert ad._summed((1, 3), x).tobytes() == x.sum(axis=0, keepdims=True).tobytes()
+    assert ad._summed((1, 1), x[:, :1]).tobytes() == x[:, :1].sum(axis=0, keepdims=True).tobytes()
 
 
 def test_row_sums_agree_with_sum_over_columns_within_the_summation_bound():
@@ -808,13 +809,22 @@ def test_row_sums_agree_with_sum_over_columns_within_the_summation_bound():
     # so the two sums lie within (d - 1)·eps·Σ|x| of each other
     for x in REDUCTION_INPUTS:
         x = x[np.isfinite(x).all(axis=1)]
-        got, want = ad._row_sums(x), x.sum(axis=1, keepdims=True)
+        got, want = ad._summed((x.shape[0], 1), x), x.sum(axis=1, keepdims=True)
         d = x.shape[1]
         bound = (d - 1) * np.finfo(np.float64).eps * np.abs(x).sum(axis=1, keepdims=True)
         assert got.shape == want.shape and np.all(np.abs(got - want) <= bound)
         if d <= 2:
             assert got.tobytes() == (want + 0.0).tobytes()  # a single add
         assert got.flags.c_contiguous and got.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_row_sum_of_a_column_shares_no_memory_with_its_input(n):
+    tape = Tape()
+    x = tape.variable(np.arange(n, dtype=np.float64)[:, None] - 2.0)
+    out = ad.row_sum(x)
+    assert np.array_equal(out.data, x.data) and out.data.base is None
+    assert not np.shares_memory(out.data, x.data)
 
 
 @pytest.mark.parametrize("shape", [(1, 16), (3280, 1), (1, 1)],
@@ -855,12 +865,12 @@ def _layouts(x):
 
 
 def _factor_pairs(n, d, seed):
-    """(y, x) pairs whose product is (n, d) with one operand broadcast:
-    (n, 1), (1, d) and (1, 1) factors on either side, and both outer
-    products, in every layout, plain and with special entries."""
+    """(y, x) pairs whose product is (n, d): two (n, d) operands, (n, 1),
+    (1, d) and (1, 1) factors on either side, and both outer products, in
+    every layout, plain and with special entries."""
     rng = np.random.default_rng(seed)
     full = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
-    pairs = []
+    pairs = [(full, rng.normal(size=(n, d)))]
     for shape in [(n, 1), (1, d), (1, 1)]:
         factor = rng.normal(size=shape)
         pairs += [(full, factor), (factor, full)]
@@ -877,9 +887,10 @@ def _factor_pairs(n, d, seed):
 def test_scaled_keeps_the_bits_of_broadcast_multiply(n, d):
     with np.errstate(invalid="ignore"):  # inf * 0
         for y, x in _factor_pairs(n, d, seed=n):
-            got, want = ad._scaled(y, x), y * x
-            if y.size > 1 and x.size > 1:
-                # einsum adds each product to a zeroed output: -0.0 reads +0.0
+            got, want = ad._summed(np.broadcast_shapes(y.shape, x.shape), y, x), y * x
+            if y.shape != x.shape and y.size > 1 and x.size > 1:
+                # einsum adds each product to a zeroed output: -0.0 reads +0.0;
+                # same-shape operands and (1, 1) factors keep `*`'s -0.0
                 want = want + 0.0
                 assert not np.signbit(got[got == 0]).any()
             assert _same_bits_or_both_nan(got, want), (y.shape, x.shape)
@@ -903,7 +914,7 @@ def test_contracted_to_a_row_keeps_the_bits_of_column_sums(n, d):
         for g in _gradients(n, d, seed=n):
             for x in [rng.normal(size=(n, 1)), rng.normal(size=(n, d)), np.array([[0.7]])]:
                 for xa in _layouts(_special(x, rng)) + _layouts(x):
-                    got, want = ad._contracted(g, xa, (1, d)), ad._column_sums(g * xa)
+                    got, want = ad._summed((1, d), g, xa), ad._summed((1, d), g * xa)
                     assert _same_bits_or_both_nan(got, want), (xa.shape, xa.flags.f_contiguous)
                     if not np.isnan(want).any():
                         assert got.tobytes() == want.tobytes()
@@ -922,10 +933,10 @@ def test_contracted_to_a_column_or_scalar_stays_within_the_summation_bound(n, d)
               rng.normal(size=(n, 1))]:
         for xa in _layouts(x):
             prod = g * xa
-            for shape, terms in [((n, 1), d), ((1, 1), n * d)]:
-                got = ad._contracted(g, xa, shape)
-                want = ad._unbroadcast(prod, shape)
-                bound = (terms - 1) * eps * ad._unbroadcast(np.abs(prod), shape)
+            for shape, terms, axis in [((n, 1), d, 1), ((1, 1), n * d, None)]:
+                got = ad._summed(shape, g, xa)
+                want = prod.sum(axis=axis, keepdims=True)
+                bound = (terms - 1) * eps * np.abs(prod).sum(axis=axis, keepdims=True)
                 assert got.shape == shape and np.all(np.abs(got - want) <= bound)
                 assert got.base is None and got.flags.c_contiguous and got.flags.writeable
 

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -785,16 +786,45 @@ def reference_landmark_features(n: int, edges) -> np.ndarray:
     return np.exp(-finite[:, landmarks] / FEATURE_TEMPERATURE)
 
 
+def _disconnected_graphs():
+    """Disconnected graphs, many with isolated nodes: sparse Erdős–Rényi
+    draws, and paths whose last node id leaves a gap of isolated ids."""
+    graphs = [g for g in (erdos_graph(n, p, seed=s) for n in (5, 17, 40, 90)
+                          for p in (0.02, 0.05, 0.1) for s in range(4))
+              if g.num_edges and not g.is_connected()]
+    for n, last in [(4, 2), (40, 35), (300, 0), (300, 299)]:
+        path = np.array([[0, 1], [1, 2], [2, last]])
+        graphs.append(Graph(n, path, np.zeros((n, 1))))
+    return graphs
+
+
 @pytest.mark.parametrize("g,connected", [
-    (tree_graph(3, 4), True),
-    (cycle_graph(30), True),
-    (random_tree(2), True),
-    (erdos_graph(40, 0.03, seed=0), False),
-], ids=["tree", "cycle", "edge", "disconnected-erdos"])
+    pytest.param(tree_graph(3, 4), True, id="tree"),
+    pytest.param(cycle_graph(30), True, id="cycle"),
+    pytest.param(random_tree(2), True, id="edge"),
+    pytest.param(erdos_graph(40, 0.03, seed=0), False, id="disconnected-erdos"),
+    *[pytest.param(g, False, id=f"disconnected-n{g.n}-m{g.num_edges}")
+      for g in _disconnected_graphs()],
+])
 def test_landmark_features_match_all_pairs_reference(g, connected):
     assert g.is_connected() == connected
-    got = _landmark_features(g.adjacency())
-    assert np.array_equal(got, reference_landmark_features(g.n, g.edges))
+    got, want = _landmark_features(g.adjacency()), reference_landmark_features(g.n, g.edges)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_isolated_nodes_do_not_make_landmark_features_quadratic(tmp_path):
+    # 3,001 nodes, 2,997 of them isolated: an all-pairs distance matrix
+    # alone would take 72 MB
+    edges = tmp_path / "e.txt"
+    edges.write_text("0 1\n1 2\n2 3000\n")
+    tracemalloc.start()
+    try:
+        g = load_graph(str(edges))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 3001 and g.features.shape == (3001, FEATURE_LANDMARKS)
+    assert peak < 16 * 2**20
 
 
 def bfs_is_connected(g: Graph) -> bool:
