@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import breadth_first_order, shortest_path
+from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
 
 from shgcn import graphs
 from shgcn.graphs import (
     FEATURE_LANDMARKS,
     FEATURE_TEMPERATURE,
     Graph,
+    _bfs_rows,
     _landmark_features,
     _spanning_tree_mask,
     _far_apart_pairs,
@@ -23,6 +24,7 @@ from shgcn.graphs import (
     cycle_graph,
     delta_hyperbolicity,
     erdos_graph,
+    graph_from_train_edges,
     load_graph,
     normalized_adjacency,
     parse_synthetic,
@@ -375,6 +377,30 @@ def test_negative_sampler_matches_unsorted_lookup_sampler(g):
                 want = unsorted_lookup_negative_edges(g, count, slow)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (seed, count)
                 assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class _SelfLoopsFirst:
+    """A generator whose first `integers` block is all self-loops; later
+    blocks come from a seeded numpy generator."""
+
+    def __init__(self, seed: int):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def integers(self, low, high, size):
+        self.calls += 1
+        if self.calls == 1:
+            return np.repeat(self.rng.integers(low, high, size=(size[0], 1)), 2, axis=1)
+        return self.rng.integers(low, high, size=size)
+
+
+@pytest.mark.parametrize("count", [1, 7, 40])
+def test_negative_sampler_survives_a_block_of_self_loops_only(count):
+    g = tree_graph(3, 3)
+    fast, slow = _SelfLoopsFirst(5), _SelfLoopsFirst(5)
+    got = sample_negative_edges(g, count, fast)
+    assert np.array_equal(got, reference_negative_edges(g, count, slow))
+    assert fast.calls == slow.calls == 2 and got.shape == (count, 2)
+    assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
 
 
 def test_negative_sampler_dense_graph_draws_several_blocks():
@@ -798,11 +824,27 @@ def _disconnected_graphs():
     return graphs
 
 
+def _path(n: int, start: int = 0, total: int | None = None) -> Graph:
+    """The path start, start + 1, ..., start + n - 1 in a graph of `total`
+    nodes (n by default)."""
+    nodes = np.arange(start, start + n)
+    return Graph(total or n, np.column_stack([nodes[:-1], nodes[1:]]), np.zeros((total or n, 1)))
+
+
+# a tree's training graph: one component per held-out edge, plus one
+TREE = tree_graph(3, 4)
+TREE_TRAIN = graph_from_train_edges(TREE, split_edges(TREE, (0.85, 0.05, 0.1), seed=0))
+
+
 @pytest.mark.parametrize("g,connected", [
-    pytest.param(tree_graph(3, 4), True, id="tree"),
+    pytest.param(TREE, True, id="tree"),
     pytest.param(cycle_graph(30), True, id="cycle"),
     pytest.param(random_tree(2), True, id="edge"),
     pytest.param(erdos_graph(40, 0.03, seed=0), False, id="disconnected-erdos"),
+    pytest.param(_path(600), True, id="path-600"),
+    pytest.param(TREE_TRAIN, False, id="tree-train-graph"),
+    pytest.param(Graph(1, np.zeros((0, 2), dtype=int), np.zeros((1, 1))), True, id="one-node"),
+    pytest.param(Graph(6, np.zeros((0, 2), dtype=int), np.zeros((6, 1))), False, id="edgeless"),
     *[pytest.param(g, False, id=f"disconnected-n{g.n}-m{g.num_edges}")
       for g in _disconnected_graphs()],
 ])
@@ -825,6 +867,48 @@ def test_isolated_nodes_do_not_make_landmark_features_quadratic(tmp_path):
         tracemalloc.stop()
     assert g.n == 3001 and g.features.shape == (3001, FEATURE_LANDMARKS)
     assert peak < 16 * 2**20
+
+
+def test_landmark_features_on_two_long_paths_stay_in_bounded_memory():
+    # two 2,000-node paths: every node has an edge, so one (n, n) distance
+    # call would take 128 MB
+    n = 4000
+    edges = np.concatenate([_path(2000).edges, _path(2000, start=2000, total=n).edges])
+    adj = Graph(n, edges, np.zeros((n, 1))).adjacency()
+    tracemalloc.start()
+    try:
+        got = _landmark_features(adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    # within a path the distance is the id gap; across, one beyond the
+    # largest finite distance, 1,999
+    nodes = np.arange(n)[:, None]
+    landmarks = np.unique(np.linspace(0, n - 1, FEATURE_LANDMARKS).astype(np.int64))
+    dist = np.where(nodes // 2000 == landmarks // 2000, np.abs(nodes - landmarks), 2000.0)
+    assert got.tobytes() == np.exp(-dist / FEATURE_TEMPERATURE).tobytes()
+
+
+@pytest.mark.parametrize("g", [
+    tree_graph(3, 4), cycle_graph(31), _path(600), TREE_TRAIN,
+    erdos_graph(40, 0.03, seed=0), _path(3, start=2, total=9),
+    Graph(5, np.zeros((0, 2), dtype=int), np.zeros((5, 1))),
+    Graph(1, np.zeros((0, 2), dtype=int), np.zeros((1, 1))),
+], ids=["tree", "cycle", "path-600", "tree-train-graph", "disconnected-erdos",
+        "path-with-isolated-nodes", "edgeless", "one-node"])
+def test_bfs_rows_equal_dijkstra_rows(g):
+    adj = g.adjacency()
+    _, comp = connected_components(adj, directed=False)
+    every = np.arange(g.n)
+    for sources in (every, every[::-1][:5], every[::7], every[-1:]):
+        got = _bfs_rows(adj, sources)
+        want = shortest_path(adj, method="D", unweighted=True, indices=sources)
+        assert got.shape == want.shape == (len(sources), g.n) and got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert np.all(got[np.arange(len(sources)), sources] == 0.0)
+        # inf exactly where a node lies in another component than the source
+        assert np.array_equal(np.isinf(got), comp[sources][:, None] != comp[None, :])
 
 
 def bfs_is_connected(g: Graph) -> bool:
