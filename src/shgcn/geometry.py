@@ -187,7 +187,7 @@ def exp0_array(v, c: float, mode: Precision = Precision.DOUBLE) -> np.ndarray:
     """
     r = lambda a: round_array(a, mode)
     v, V, n, arg = _rows(v, c, mode)
-    t = r(np.array([math.tanh(a) for a in arg]))
+    t = r(np.fromiter(map(math.tanh, arg.tolist()), np.float64, len(arg)))
     # group as t * (v / arg): the direction factor divides exactly for
     # axis-aligned v, so the boundary is hit exactly when tanh rounds to 1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -210,7 +210,7 @@ def log0_array(y, c: float, mode: Precision = Precision.DOUBLE) -> np.ndarray:
         raise BoundaryCollapseError(
             f"log0 undefined: sqrt(c)*||y|| = {collapsed[0]} >= 1 (boundary collapse)"
         )
-    a = r(np.array([math.atanh(x) for x in arg]))
+    a = r(np.fromiter(map(math.atanh, arg.tolist()), np.float64, len(arg)))
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = r(a / arg)
     return _by_continuity(r(Y * coef[:, None]), Y, n, arg).reshape(y.shape)

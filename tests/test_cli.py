@@ -439,6 +439,23 @@ def test_node_id_above_the_limit_exits_2_before_sizing_the_graph(tmp_path, monke
     assert "Traceback" not in err and "delta" not in out
 
 
+@pytest.mark.parametrize("spec", [
+    "tree:3,30",  # 3.1e14 nodes, whose int64 ids alone would take 2.5 PB
+    "tree:2,1000000000000",
+    f"tree:1,{MAX_NODES}",
+    f"tree:{MAX_NODES},1",
+    "cycle:2000000",
+    f"erdos:{MAX_NODES + 1},0.000001,0",
+])
+@pytest.mark.parametrize("command", ["hyperbolicity", "run"])
+def test_synthetic_graph_above_the_limit_exits_2_before_it_is_built(tmp_path, monkeypatch, capsys,
+                                                                    spec, command):
+    code, out, err = run_cli([command, "--synthetic", spec], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert f"bad synthetic graph spec {spec!r}: more than the limit of {MAX_NODES} nodes" in err
+    assert "Traceback" not in err and "delta" not in out
+
+
 def test_hyperbolicity_cap_exceeded_exits_2(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(
         ["hyperbolicity", "--synthetic", "cycle:30", "--cap", "10"],

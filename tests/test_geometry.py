@@ -8,6 +8,8 @@ from shgcn.geometry import (
     LorentzPoint,
     PoincarePoint,
     TangentVector,
+    _by_continuity,
+    _rows,
     exp0,
     exp0_array,
     log0,
@@ -394,3 +396,44 @@ def test_row_norms_equal_np_linalg_norm_bit_for_bit():
         X = rng.standard_normal((50, 2 * dim)) * rng.uniform(1e-3, 1e3, (50, 1))
         for V in (X[:, :dim].copy(), X[:, ::2], np.asfortranarray(X[:, :dim])):
             assert np.array_equal(row_norms(V), [np.linalg.norm(v) for v in V])
+
+
+def _exp0_per_element(v, c, mode):
+    """exp0_array with tanh taken by a list comprehension over numpy scalars."""
+    r = lambda a: round_array(a, mode)
+    v, V, n, arg = _rows(v, c, mode)
+    t = r(np.array([math.tanh(a) for a in arg]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = r(t[:, None] * r(V / arg[:, None]))
+    return _by_continuity(out, V, n, arg).reshape(v.shape)
+
+
+def _log0_per_element(y, c, mode):
+    """log0_array of points inside the ball, with arctanh taken by a list
+    comprehension over numpy scalars."""
+    r = lambda a: round_array(a, mode)
+    y, Y, n, arg = _rows(y, c, mode)
+    a = r(np.array([math.atanh(x) for x in arg]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = r(a / arg)
+    return _by_continuity(r(Y * coef[:, None]), Y, n, arg).reshape(y.shape)
+
+
+@pytest.mark.parametrize("mode", list(Precision))
+@pytest.mark.parametrize("c", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("rows", [0, 1, 5, 256])
+def test_exp0_and_log0_arrays_keep_the_bits_of_the_per_element_form(mode, c, rows):
+    rng = np.random.default_rng(rows)
+    # norms from 1e-3 to past the collapse point of every precision, one
+    # zero row among them
+    v = rng.standard_normal((rows, 8)) * 10.0 ** rng.uniform(-3, 1.5, (rows, 1))
+    v[:1] = 0.0
+    got, want = exp0_array(v, c, mode), _exp0_per_element(v, c, mode)
+    assert got.shape == want.shape == (rows, 8) and got.tobytes() == want.tobytes()
+    # points inside the ball, norms up to 0.95 / sqrt(c)
+    y = rng.standard_normal((rows, 8))
+    y *= rng.uniform(0.0, 0.95, (rows, 1)) / np.linalg.norm(y, axis=1, keepdims=True)
+    y /= math.sqrt(c) if c else 1.0
+    y[:1] = 0.0
+    got, want = log0_array(y, c, mode), _log0_per_element(y, c, mode)
+    assert got.shape == want.shape == (rows, 8) and got.tobytes() == want.tobytes()

@@ -15,6 +15,8 @@ from shgcn.graphs import (
     Graph,
     _bfs_rows,
     _landmark_features,
+    _largest_finite_distance,
+    _pair_rows,
     _spanning_tree_mask,
     _far_apart_pairs,
     _pair_sweep,
@@ -854,6 +856,37 @@ def test_landmark_features_match_all_pairs_reference(g, connected):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _sparse_graph(seed: int) -> tuple[int, np.ndarray]:
+    """A node count n < 60 and its edges: random pairs for even seeds, a
+    random forest plus up to three random pairs for odd ones."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    if seed % 2:
+        pairs = [(v, int(rng.integers(0, v))) for v in range(1, n) if rng.random() < 0.9]
+        pairs = np.array(pairs + rng.integers(0, n, size=(int(rng.integers(0, 4)), 2)).tolist())
+    else:
+        pairs = rng.integers(0, n, size=(int(rng.integers(n // 2, 2 * n)), 2))
+    return n, Graph(n, pairs, np.zeros((n, 1))).edges
+
+
+def test_largest_finite_distance_with_one_dijkstra_row_per_block(monkeypatch):
+    # with one row per block, each block's bounds decide which nodes the
+    # next ones still search; moved to ids 1..n of a graph 16 (n + 1)
+    # nodes wide, the edges meet no landmark, so only the sweeps bound them
+    monkeypatch.setattr(graphs, "LANDMARK_BLOCK_CELLS", 1)
+    for seed in range(600):
+        n, edges = _sparse_graph(seed)
+        dist = shortest_path(Graph(n, edges, np.zeros((n, 1))).adjacency(), method="D",
+                             unweighted=True)
+        want = dist[np.isfinite(dist)].max()
+        for shift, total in ((0, n), (1, 16 * (n + 1))):
+            adj = Graph(total, edges + shift, np.zeros((total, 1))).adjacency()
+            landmarks = np.unique(np.linspace(0, total - 1, min(FEATURE_LANDMARKS, total))
+                                  .astype(np.int64))
+            got = _largest_finite_distance(adj, landmarks, _bfs_rows(adj, landmarks))
+            assert got == want, (seed, shift)
+
+
 def test_isolated_nodes_do_not_make_landmark_features_quadratic(tmp_path):
     # 3,001 nodes, 2,997 of them isolated: an all-pairs distance matrix
     # alone would take 72 MB
@@ -941,6 +974,69 @@ def test_edgeless_erdos_has_zero_features_and_labels():
     g = erdos_graph(5, 0.0)
     assert g.num_edges == 0 and not g.is_connected() and bfs_is_connected(g) is False
     assert np.array_equal(g.features, np.zeros((5, 5))) and np.array_equal(g.labels, np.zeros(5))
+
+
+@pytest.mark.parametrize("make,ok,too_big", [
+    (lambda n: tree_graph(3, n), 3, 4),  # 40 and 121 nodes
+    (lambda n: tree_graph(1, n), 39, 40),  # a path of n + 1 nodes
+    (cycle_graph, 40, 41),
+    (lambda n: erdos_graph(n, 0.1), 40, 41),
+    (random_tree, 40, 41),
+])
+def test_generators_refuse_more_than_max_nodes(monkeypatch, make, ok, too_big):
+    monkeypatch.setattr(graphs, "MAX_NODES", 40)
+    assert make(ok).n <= 40
+    with pytest.raises(ValueError, match="more than the limit of 40 nodes"):
+        make(too_big)
+
+
+def test_deep_tree_is_refused_without_counting_its_nodes():
+    # 2 ** (10 ** 18) would never finish; the closed form stops at 64 levels
+    with pytest.raises(ValueError, match="more than the limit"):
+        tree_graph(2, 10**18)
+
+
+@pytest.mark.parametrize("n", [2, 3, 80, graphs.MAX_NODES])
+def test_pair_rows_invert_the_row_major_pair_order_at_every_row_boundary(n):
+    # the first, second, last and next-to-last pair of every row, where
+    # the float root of the closed form is nearest an integer
+    i = np.arange(n - 1, dtype=np.int64)
+    start = i * (2 * n - 1 - i) // 2
+    for k, j in [(start, i + 1), (start + 1, i + 2), (start + n - 2 - i, np.full(n - 1, n - 1)),
+                 (start + n - 3 - i, np.full(n - 1, n - 2))]:
+        keep = (j > i) & (j < n)
+        got = _pair_rows(k[keep], n)
+        assert np.array_equal(got, np.column_stack([i[keep], j[keep]]))
+
+
+def test_pair_rows_enumerate_triu_indices():
+    for n in range(1, 40):
+        got = _pair_rows(np.arange(n * (n - 1) // 2), n)
+        assert np.array_equal(got, np.column_stack(np.triu_indices(n, k=1)))
+
+
+def test_sparse_erdos_graph_stays_in_bounded_memory():
+    # the pair list of triu_indices and one draw of all 8 million
+    # uniforms would take 190.7 MiB
+    tracemalloc.start()
+    try:
+        g = erdos_graph(4000, 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 4000 and g.features.shape == (4000, FEATURE_LANDMARKS)
+    assert peak <= 16 * 2**20
+
+
+def test_a_tree_training_graph_needs_no_dijkstra_row(monkeypatch):
+    g = tree_graph(3, 7)
+    train = graph_from_train_edges(g, split_edges(g, (0.85, 0.05, 0.1), seed=0))
+    adj = train.adjacency()
+    assert not train.is_connected()
+    calls = []
+    monkeypatch.setattr(graphs, "shortest_path", lambda *a, **k: calls.append(k))
+    assert _landmark_features(adj).shape == (g.n, FEATURE_LANDMARKS)
+    assert calls == []
 
 
 def test_random_tree_is_tree():
