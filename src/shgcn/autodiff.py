@@ -59,6 +59,26 @@ Never BLAS and never ``optimize=True``: a BLAS product may add in another
 order under another thread count.  `_summed` says where its bits differ
 from numpy's.
 
+Fused structured ops: `fermi_dirac_edge_scores` and `lp_loss` each record
+one node where the composed tape recorded 8 per decoder call and 9 for
+the loss, and keep only the arrays their rules read (the decoder: the
+(m, d) pair differences and the (m, 1) logistic; the loss: the clipped
+scores), not every intermediate.  They give the composed tape's bits
+because they repeat its arithmetic:
+
+- forward, each intermediate is rounded to the mode in the composed
+  order, constants (r, 1/t) included;
+- a rule reads what the composed rule read: the decoder's the unrounded
+  logistic, as `sigmoid`'s did, and the rounded differences;
+- a rule multiplies its factors in the composed chain's order, and a sum
+  of two contributions to one buffer (the square's two operands) is c + c;
+- the decoder scatters the second endpoints' rows before the first
+  endpoints', the order in which the two gathers' rules ran.  One epoch
+  scores the negatives after the positives, so the negatives' rule
+  scatters first, as before.
+
+`tests/test_lp_primitives.py` keeps the composed versions as the oracle.
+
 Lifetime: a Node holds its Tape, its parents and its backward rules; the
 Tape holds its Nodes only through weak references.  There is no reference
 cycle, so a tape and its arrays are freed by reference counting as soon as
@@ -76,6 +96,7 @@ pages for the next tape instead of handing them back to the kernel.
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Callable
 
@@ -414,17 +435,19 @@ def transpose(a: Node) -> Node:
     return _record(a.data.T.copy(), (a,), lambda g: g.T)
 
 
+def _scatter_rows(a: Node, index: np.ndarray, rows: np.ndarray, at=np.add.at) -> None:
+    """Add (or with `at=np.subtract.at`, subtract) rows[k] into row
+    index[k] of a's gradient buffer, repeated indices included."""
+    # one scalar scatter on the flat buffer adds to each entry in the same
+    # order as a row scatter, and runs several times faster
+    d = rows.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).reshape(-1)
+    at(_buffer(a).reshape(-1), flat, rows.reshape(-1))
+
+
 def gather_rows(a: Node, index) -> Node:
     index = np.asarray(index, dtype=np.intp)
-
-    def rule(g):
-        # one scalar scatter on the flat buffer adds to each entry in the
-        # same order as a row scatter, and runs several times faster
-        d = g.shape[1]
-        flat = (index[:, None] * d + np.arange(d)).reshape(-1)
-        np.add.at(_buffer(a).reshape(-1), flat, g.reshape(-1))
-
-    return _record(a.data[index], (a,), rule)
+    return _record(a.data[index], (a,), lambda g: _scatter_rows(a, index, g))
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +624,72 @@ def cross_entropy(logits: Node, labels) -> Node:
         return g[0, 0] * local / n
 
     return _record(np.array([[ce]]), (logits,), rule)
+
+
+def check_fermi_dirac(r: float, t: float) -> None:
+    """Refuse a Fermi-Dirac temperature outside (0, inf) or a non-finite
+    radius: either would give plausible-looking scores (t < 0 flips them)
+    or NaN ones."""
+    if not 0.0 < t < math.inf:
+        raise ValueError("Fermi-Dirac temperature t must be positive and finite")
+    if not math.isfinite(r):
+        raise ValueError("Fermi-Dirac radius r must be finite")
+
+
+def _rounder(mode: Precision):
+    """x -> x rounded to mode, as `Matrix` rounds a result (the identity in
+    double): a fused primitive rounds each intermediate with it."""
+    return (lambda x: x) if mode is Precision.DOUBLE else (lambda x: round_array(x, mode))
+
+
+def fermi_dirac_edge_scores(z: Node, pairs, r: float = 2.0, t: float = 1.0) -> Node:
+    """Edge probabilities 1 / (1 + exp((||z_i - z_j||² - r)/t)) for a (m, 2)
+    array of node-index pairs -> (m, 1).  The distance is the plain squared
+    Euclidean one: embeddings live in Euclidean space by the time they
+    reach the decoder."""
+    check_fermi_dirac(r, t)
+    pairs = np.asarray(pairs, dtype=np.intp)
+    first, second = pairs[:, 0], pairs[:, 1]
+    rnd = _rounder(z.mode)
+    scale = rnd(np.array([[1.0 / t]]))
+    diff = rnd(z.data[first] - z.data[second])
+    d2 = rnd(_summed((len(pairs), 1), rnd(diff * diff)))
+    s = _logistic(rnd(rnd(rnd(np.array([[r]])) - d2) * scale))
+
+    def rule(g):
+        # the composed rules' products: sigmoid's, the 1/t factor's, r - d²'s
+        # and the square's, whose two operands each send c
+        c = -(g * s * (1.0 - s) * scale) * diff
+        c += c
+        _scatter_rows(z, second, c, np.subtract.at)  # x + (-y) is x - y exactly
+        _scatter_rows(z, first, c)
+
+    return _record(s, (z,), rule)
+
+
+LP_CLAMP = 1e-12  # lp_loss clips scores to [LP_CLAMP, 1 - LP_CLAMP]
+
+
+def lp_loss(pos_scores: Node, neg_scores: Node) -> Node:
+    """Binary cross-entropy over edge probabilities:
+    -mean(log pos) - mean(log(1 - neg)), each score first clipped to
+    [LP_CLAMP, 1 - LP_CLAMP]."""
+    for s in (pos_scores, neg_scores):
+        if np.any(s.data < 0.0) or np.any(s.data > 1.0):
+            raise ValueError("scores must lie in [0, 1]")
+    lo, hi = LP_CLAMP, 1.0 - LP_CLAMP
+    rnd = _rounder(pos_scores.mode)
+    p, n = pos_scores.data, neg_scores.data
+    pos = rnd(np.clip(p, lo, hi))
+    neg = rnd(np.clip(n, lo, hi))
+    pos_term = rnd(np.array([[rnd(np.log(pos)).mean()]]) * -1.0)
+    neg_one = rnd(1.0 - neg)
+    neg_term = rnd(np.array([[rnd(np.log(neg_one)).mean()]]))
+    return _record(
+        rnd(pos_term - neg_term), (pos_scores, neg_scores),
+        lambda g: (g * -1.0) / p.size * (1.0 / pos) * ((p > lo) & (p < hi)),
+        lambda g: -((-g) / n.size * (1.0 / neg_one)) * ((n > lo) & (n < hi)),
+    )
 
 
 def median_pool(a: Node, groups) -> Node:

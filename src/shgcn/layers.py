@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Matrix, Node, Tape
+from .autodiff import Matrix, Node, Tape, fermi_dirac_edge_scores  # the decoder, re-exported
 from .errors import ShapeError
 from .geometry import default_projection_eps
 from .precision import Precision
@@ -65,10 +65,7 @@ class DecoderConfig:
     t: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.t < math.inf:
-            raise ValueError("Fermi-Dirac temperature t must be positive and finite")
-        if not math.isfinite(self.r):
-            raise ValueError("Fermi-Dirac radius r must be finite")
+        ad.check_fermi_dirac(self.r, self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +178,19 @@ def ballify_rows(x: Node, theta_c: Node) -> Node:
 
 
 def fermi_dirac_score(zi, zj, r: float = 2.0, t: float = 1.0) -> float:
-    """Edge probability 1 / (exp((||zi - zj||^2 - r)/t) + 1).
+    """Edge probability 1 / (exp((||zi - zj||^2 - r)/t) + 1) of one pair, in
+    plain floats: the reference for the tape's `fermi_dirac_edge_scores`.
 
     The distance is the plain squared Euclidean one: embeddings live in
     Euclidean space by the time they reach the decoder.
     """
-    if t <= 0:
-        raise ValueError("temperature t must be positive")
+    ad.check_fermi_dirac(r, t)
     zi = np.asarray(zi, dtype=np.float64).reshape(-1)
     zj = np.asarray(zj, dtype=np.float64).reshape(-1)
     if zi.shape != zj.shape:
         raise ShapeError(f"shape mismatch: {zi.shape} vs {zj.shape}")
     d2 = float(np.sum((zi - zj) ** 2))
     return float(1.0 / (1.0 + math.exp(min((d2 - r) / t, 700.0))))
-
-
-def fermi_dirac_edge_scores(z: Node, pairs, r: float = 2.0, t: float = 1.0) -> Node:
-    """Tape version: probabilities for a (m, 2) array of node-index pairs."""
-    pairs = np.asarray(pairs, dtype=np.intp)
-    zi = ad.gather_rows(z, pairs[:, 0])
-    zj = ad.gather_rows(z, pairs[:, 1])
-    diff = zi - zj
-    d2 = ad.row_sum(diff * diff)
-    return ad.sigmoid((r - d2) * (1.0 / t))
 
 
 def nc_head_forward(h: Node, wc: Node, bc: Node) -> Node:

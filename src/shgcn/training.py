@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Matrix, Node, Tape
+from .autodiff import Matrix, Node, Tape, lp_loss
 from .errors import NonFiniteError
 from .graphs import (
     EdgeSplit,
@@ -37,24 +37,9 @@ from .layers import (
 from .metrics import classification_metrics, mean_absolute_error, roc_auc
 from .precision import Precision
 
-_CLAMP = 1e-12
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
-
-
-def lp_loss(pos_scores: Node, neg_scores: Node) -> Node:
-    """Binary cross-entropy over edge probabilities:
-    -mean(log pos) - mean(log(1 - neg))."""
-    for s in (pos_scores, neg_scores):
-        if np.any(s.data < 0.0) or np.any(s.data > 1.0):
-            raise ValueError("scores must lie in [0, 1]")
-    pos = ad.clamp(pos_scores, _CLAMP, 1.0 - _CLAMP)
-    neg = ad.clamp(neg_scores, _CLAMP, 1.0 - _CLAMP)
-    one = neg.tape.constant(1.0, mode=neg.mode)
-    return -(ad.mean_all(ad.log(pos))) - ad.mean_all(ad.log(one - neg))
 
 
 def nc_loss(logits: Node, labels) -> Node:
