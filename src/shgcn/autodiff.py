@@ -1,19 +1,19 @@
 """Dense matrices with reverse-mode automatic differentiation.
 
-A Matrix is an immutable 2-D float64 array tagged with a Precision mode;
-every operation computes in full double precision and rounds its result to
-the mode.  A Tape records operations on Node wrappers in execution order
-(which is a valid topological order) and replays them backwards to fill
-gradient buffers.  Gradients are always accumulated in double regardless of
-the forward mode; low-precision runs are forward-only probes.
+A Matrix is an immutable 2-D float64 input array tagged with a Precision
+mode.  A Tape records operations as Nodes in execution order (a valid
+topological order) and replays them backwards to fill gradient buffers;
+each Node holds its result, computed in double and rounded to the mode.
+Gradients are always accumulated in double regardless of the forward
+mode; low-precision runs are forward-only probes.
 
 Array ownership:
 
 - ``Matrix(data)`` and ``Tape.variable(data)`` copy outside input, so the
   caller may keep writing to its array without reaching the stored value.
 - A primitive's result is a fresh C-contiguous array that no caller holds;
-  the Matrix adopts it without a copy.  Gradient rules may keep a
-  reference to it for reading.
+  `_record` freezes it into ``Node.data`` with `_frozen`, as ``Matrix``
+  freezes its copy.  Gradient rules may keep a reference to it for reading.
 - Every stored array is read-only.  Gradient buffers (``Node.grad``) are
   plain writable C-contiguous float64 arrays.
 
@@ -79,16 +79,16 @@ because they repeat its arithmetic:
 
 `tests/test_lp_primitives.py` keeps the composed versions as the oracle.
 
-Lifetime: a Node holds its Tape, its parents and its backward rules; the
-Tape holds its Nodes only through weak references.  There is no reference
-cycle, so a tape and its arrays are freed by reference counting as soon as
-the caller drops the tape and every node of it, without waiting for the
-cyclic garbage collector.  Nodes that no live node depends on are freed
-while the forward pass is still running.  ``Tape.backward(root,
-release=True)`` also drops each non-leaf node's gradient buffer as soon as
-its rule has run, since nothing reads it after that: only the variables
-keep gradients, and the allocator can hand the freed memory to the rest of
-the sweep.  The default keeps every buffer, for inspection and tests.
+Lifetime: a Node holds its array, its Tape, its parents and its backward
+rules; the Tape holds its Nodes only through weak references.  There is
+no reference cycle, so a tape and its arrays are freed by reference
+counting as soon as the caller drops the tape and every node of it,
+without waiting for the cyclic garbage collector.  Nodes that no live
+node depends on are freed while the forward pass is still running.
+``Tape.backward(root, release=True)`` also drops each non-leaf node's
+gradient buffer as soon as its rule has run, since nothing reads it after
+that: only the variables keep gradients, and the allocator can hand the
+freed memory to the rest of the sweep.  The default keeps every buffer, for inspection and tests.
 Training (`training._fit`) drops each epoch's tape once its step is taken,
 so one tape is alive at a time, and sets glibc's malloc to keep the freed
 pages for the next tape instead of handing them back to the kernel.
@@ -106,10 +106,18 @@ from .errors import BoundaryCollapseError, ShapeError
 from .precision import Precision, round_array
 
 
+def _frozen(raw: np.ndarray, mode: Precision) -> np.ndarray:
+    """A fresh C-contiguous float64 array rounded to `mode` and made
+    read-only: `raw` itself in double, where rounding is the identity."""
+    rounded = raw if mode is Precision.DOUBLE else round_array(raw, mode)
+    rounded.setflags(write=False)
+    return rounded
+
+
 class Matrix:
-    """Immutable 2-D value.  Stored entries are already rounded to `mode`,
-    so re-rounding is a no-op; a finite entry beyond the mode's range is
-    stored as an infinity."""
+    """Immutable 2-D input value.  Stored entries are already rounded to
+    `mode`, so re-rounding is a no-op; a finite entry beyond the mode's
+    range is stored as an infinity."""
 
     __slots__ = ("data", "mode")
 
@@ -118,21 +126,7 @@ class Matrix:
         if raw.ndim != 2:
             raise ShapeError(f"Matrix must be 2-D, got shape {raw.shape}")
         # copy: the caller keeps its array and may write to it
-        self._freeze(np.array(raw, order="C"), mode)
-
-    @classmethod
-    def _adopt(cls, raw: np.ndarray, mode: Precision) -> "Matrix":
-        """Wrap a primitive's fresh C-contiguous float64 result without
-        copying it; nothing else may write to `raw` afterwards."""
-        m = object.__new__(cls)
-        m._freeze(raw, mode)
-        return m
-
-    def _freeze(self, raw: np.ndarray, mode: Precision) -> None:
-        # rounding to double is the identity
-        rounded = raw if mode is Precision.DOUBLE else round_array(raw, mode)
-        rounded.setflags(write=False)
-        object.__setattr__(self, "data", rounded)
+        object.__setattr__(self, "data", _frozen(np.array(raw, order="C"), mode))
         object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):
@@ -147,20 +141,21 @@ class Matrix:
 
 
 class Node:
-    """A tape entry: a Matrix value plus links to its parents and the local
-    backward rule that scatters an incoming gradient to them.
+    """A tape entry: a read-only array in `mode` plus links to its parents
+    and the local backward rule that scatters an incoming gradient to them.
 
     `requires_grad` is False for constants and for nodes computed from
     constants alone; those are left off the tape's sweep and their `grad`
     stays None.  Otherwise `grad` is None until backward sends the node its
     first contribution."""
 
-    __slots__ = ("value", "grad", "tape", "requires_grad", "_parents", "_backward",
+    __slots__ = ("data", "mode", "grad", "tape", "requires_grad", "_parents", "_backward",
                  "__weakref__")
 
-    def __init__(self, value: Matrix, tape: "Tape", parents=(), backward=None,
-                 requires_grad: bool = True):
-        self.value = value
+    def __init__(self, data: np.ndarray, mode: Precision, tape: "Tape", parents=(),
+                 backward=None, requires_grad: bool = True):
+        self.data = data
+        self.mode = mode
         self.grad = None
         self.tape = tape
         self.requires_grad = requires_grad
@@ -170,16 +165,8 @@ class Node:
             tape._nodes.append(weakref.ref(self))
 
     @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def mode(self) -> Precision:
-        return self.value.mode
-
-    @property
     def shape(self):
-        return self.value.shape
+        return self.data.shape
 
     # -- operator sugar -------------------------------------------------
     def _wrap(self, other) -> "Node":
@@ -229,13 +216,13 @@ class Tape:
 
     def variable(self, data, mode: Precision = Precision.DOUBLE) -> Node:
         value = data if isinstance(data, Matrix) else Matrix(data, mode)
-        return Node(value, self)
+        return Node(value.data, value.mode, self)
 
     def constant(self, data, mode: Precision = Precision.DOUBLE) -> Node:
         """A leaf that gets no gradient: its `grad` stays None and backward
         rules compute nothing for it."""
         value = data if isinstance(data, Matrix) else Matrix(data, mode)
-        return Node(value, self, requires_grad=False)
+        return Node(value.data, value.mode, self, requires_grad=False)
 
     def backward(self, root: Node, release: bool = False) -> None:
         """Reverse accumulation from a scalar root.  Each node that the
@@ -248,10 +235,8 @@ class Tape:
         for tests that use it as the reference sweep."""
         if root.tape is not self:
             raise ShapeError("root node belongs to a different tape")
-        if root.value.shape != (1, 1):
-            raise ShapeError(
-                f"backward root must be scalar (1x1), got shape {root.value.shape}"
-            )
+        if root.shape != (1, 1):
+            raise ShapeError(f"backward root must be scalar (1x1), got shape {root.shape}")
         nodes = [node for node in (ref() for ref in self._nodes) if node is not None]
         for node in nodes:
             node.grad = None
@@ -264,7 +249,7 @@ class Tape:
                     node.grad = None
         for node in nodes:
             if node.grad is None and node._backward is None:  # an unreached variable
-                node.grad = np.zeros(node.value.shape, dtype=np.float64)
+                node.grad = np.zeros(node.shape, dtype=np.float64)
 
 
 def _record(raw: np.ndarray, operands: tuple, *rules) -> Node:
@@ -280,27 +265,27 @@ def _record(raw: np.ndarray, operands: tuple, *rules) -> Node:
     the operand's buffer only when it is neither `g` nor a view.  A result
     of constants alone drops its operands and rules."""
     first = operands[0]
-    mode, tape = first.value.mode, first.tape
+    mode, tape = first.mode, first.tape
     for p in operands[1:]:
-        if p.value.mode is not mode:
-            raise ShapeError(f"mixed precision modes: {mode.value} vs {p.value.mode.value}")
+        if p.mode is not mode:
+            raise ShapeError(f"mixed precision modes: {mode.value} vs {p.mode.value}")
         if p.tape is not tape:
             raise ShapeError("operands belong to different tapes")
-    value = Matrix._adopt(raw, mode)
+    data = _frozen(raw, mode)
     sends = [(p, rule) for p, rule in zip(operands, rules) if p.requires_grad]
     if not sends:
-        return Node(value, tape, requires_grad=False)
+        return Node(data, mode, tape, requires_grad=False)
 
     def backward(g):
         for p, rule in sends:
             c = rule(g)
             if c is not None:
-                shape = p.value.data.shape
+                shape = p.data.shape
                 if c.shape[0] > shape[0] or c.shape[1] > shape[1]:
                     c = _summed(shape, c)
                 _accumulate(p, c, fresh=c is not g and c.base is None)
 
-    return Node(value, tape, operands, backward)
+    return Node(data, mode, tape, operands, backward)
 
 
 def _accumulate(node: Node, g: np.ndarray, fresh: bool) -> None:
@@ -309,16 +294,16 @@ def _accumulate(node: Node, g: np.ndarray, fresh: bool) -> None:
     holds), otherwise copied and broadcast to the node's shape."""
     if node.grad is not None:
         node.grad += g
-    elif fresh and g.shape == node.value.shape and g.flags.c_contiguous:
+    elif fresh and g.shape == node.shape and g.flags.c_contiguous:
         node.grad = g
     else:
-        node.grad = np.broadcast_to(g, node.value.shape).copy()
+        node.grad = np.broadcast_to(g, node.shape).copy()
 
 
 def _buffer(node: Node) -> np.ndarray:
     """Node's gradient buffer for a scatter, created as zeros if absent."""
     if node.grad is None:
-        node.grad = np.zeros(node.value.shape, dtype=np.float64)
+        node.grad = np.zeros(node.shape, dtype=np.float64)
     return node.grad
 
 
@@ -637,9 +622,28 @@ def check_fermi_dirac(r: float, t: float) -> None:
 
 
 def _rounder(mode: Precision):
-    """x -> x rounded to mode, as `Matrix` rounds a result (the identity in
+    """x -> x rounded to mode, as `_record` rounds a result (the identity in
     double): a fused primitive rounds each intermediate with it."""
     return (lambda x: x) if mode is Precision.DOUBLE else (lambda x: round_array(x, mode))
+
+
+def _fermi_dirac(z: np.ndarray, pairs: np.ndarray, r: float, t: float, mode: Precision):
+    """The decoder's forward on an (n, d) array -> (unrounded logistic
+    (m, 1), rounded pair differences (m, d), rounded 1/t)."""
+    check_fermi_dirac(r, t)
+    rnd = _rounder(mode)
+    scale = rnd(np.array([[1.0 / t]]))
+    diff = rnd(z[pairs[:, 0]] - z[pairs[:, 1]])
+    d2 = rnd(_summed((len(pairs), 1), rnd(diff * diff)))
+    return _logistic(rnd(rnd(rnd(np.array([[r]])) - d2) * scale)), diff, scale
+
+
+def fermi_dirac_forward(z: np.ndarray, pairs, r: float = 2.0, t: float = 1.0,
+                        mode: Precision = Precision.DOUBLE) -> np.ndarray:
+    """The scores `fermi_dirac_edge_scores` records for a node holding `z`
+    in `mode`, bit for bit, without a tape: evaluation scores with it."""
+    s, _, _ = _fermi_dirac(z, np.asarray(pairs, dtype=np.intp), r, t, mode)
+    return _frozen(s, mode)
 
 
 def fermi_dirac_edge_scores(z: Node, pairs, r: float = 2.0, t: float = 1.0) -> Node:
@@ -647,38 +651,35 @@ def fermi_dirac_edge_scores(z: Node, pairs, r: float = 2.0, t: float = 1.0) -> N
     array of node-index pairs -> (m, 1).  The distance is the plain squared
     Euclidean one: embeddings live in Euclidean space by the time they
     reach the decoder."""
-    check_fermi_dirac(r, t)
     pairs = np.asarray(pairs, dtype=np.intp)
-    first, second = pairs[:, 0], pairs[:, 1]
-    rnd = _rounder(z.mode)
-    scale = rnd(np.array([[1.0 / t]]))
-    diff = rnd(z.data[first] - z.data[second])
-    d2 = rnd(_summed((len(pairs), 1), rnd(diff * diff)))
-    s = _logistic(rnd(rnd(rnd(np.array([[r]])) - d2) * scale))
+    s, diff, scale = _fermi_dirac(z.data, pairs, r, t, z.mode)
 
     def rule(g):
         # the composed rules' products: sigmoid's, the 1/t factor's, r - d²'s
         # and the square's, whose two operands each send c
         c = -(g * s * (1.0 - s) * scale) * diff
         c += c
-        _scatter_rows(z, second, c, np.subtract.at)  # x + (-y) is x - y exactly
-        _scatter_rows(z, first, c)
+        _scatter_rows(z, pairs[:, 1], c, np.subtract.at)  # x + (-y) is x - y exactly
+        _scatter_rows(z, pairs[:, 0], c)
 
     return _record(s, (z,), rule)
 
 
-LP_CLAMP = 1e-12  # lp_loss clips scores to [LP_CLAMP, 1 - LP_CLAMP]
+LP_CLAMP = 1e-12  # lp_loss clips scores to [LP_CLAMP, 1 - LP_CLAMP] in double
 
 
 def lp_loss(pos_scores: Node, neg_scores: Node) -> Node:
     """Binary cross-entropy over edge probabilities:
     -mean(log pos) - mean(log(1 - neg)), each score first clipped to
-    [LP_CLAMP, 1 - LP_CLAMP]."""
+    [LP_CLAMP, 1 - LP_CLAMP], narrowed where the mode would round a bound to
+    0 or 1: to at least its smallest subnormal and at most 1 - eps/2."""
     for s in (pos_scores, neg_scores):
         if np.any(s.data < 0.0) or np.any(s.data > 1.0):
             raise ValueError("scores must lie in [0, 1]")
-    lo, hi = LP_CLAMP, 1.0 - LP_CLAMP
-    rnd = _rounder(pos_scores.mode)
+    mode = pos_scores.mode
+    lo = max(LP_CLAMP, float(np.finfo(mode.dtype).smallest_subnormal))
+    hi = min(1.0 - LP_CLAMP, 1.0 - mode.epsilon / 2)
+    rnd = _rounder(mode)
     p, n = pos_scores.data, neg_scores.data
     pos = rnd(np.clip(p, lo, hi))
     neg = rnd(np.clip(n, lo, hi))

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Matrix, Node, Tape, fermi_dirac_edge_scores  # the decoder, re-exported
+from .autodiff import Node, Tape, fermi_dirac_edge_scores  # the decoder, re-exported
 from .errors import ShapeError
 from .geometry import default_projection_eps
 from .precision import Precision
@@ -234,7 +234,7 @@ class ParameterStore:
             self._params[name] = value
 
     def register(self, tape: Tape, mode: Precision) -> dict[str, Node]:
-        return {name: tape.variable(Matrix(v, mode)) for name, v in self._params.items()}
+        return {name: tape.variable(v, mode) for name, v in self._params.items()}
 
 
 def _uniform(rng: np.random.Generator, d_out: int, d_in: int) -> np.ndarray:
@@ -267,7 +267,7 @@ class GraphModel(ParameterStore):
         """Euclidean embeddings (n, hidden_dim) plus the parameter node map
         (for reading gradients after backward)."""
         nodes = self.register(tape, mode)
-        h = tape.constant(Matrix(features, mode))  # no gradient flows to the input
+        h = tape.constant(features, mode)  # no gradient flows to the input
         kind = self.config.layer_kind
         n_layers = self.config.num_layers
 

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Matrix, Node, Tape, lp_loss
+from .autodiff import Node, Tape, fermi_dirac_forward, lp_loss
 from .errors import NonFiniteError
 from .graphs import (
     EdgeSplit,
@@ -175,12 +175,12 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
     metric, per-epoch records and the test evaluation.  `forward(dropout_rng)`
     runs the model (and head) on a new tape and returns the output and
     parameter nodes, `loss_of(out)` builds the loss on that tape, and
-    `val_of(matrix)` and `test_of(matrix)` score an evaluation output.
-    Backward runs with `release=True`: each intermediate gradient buffer is
-    freed once its rule has run, and only the parameter nodes keep theirs.
-    The best params are set before one dropout-free forward goes to
-    `test_of`.  Raises NonFiniteError when the loss or a stepped parameter
-    is not finite.
+    `val_of(array)` and `test_of(array)` score an evaluation output's array
+    without a tape.  Backward runs with `release=True`: each intermediate
+    gradient buffer is freed once its rule has run, and only the parameter
+    nodes keep theirs.  The best params are set before one dropout-free
+    forward goes to `test_of`.  Raises NonFiniteError when the loss or a
+    stepped parameter is not finite.
 
     One tape is alive at a time: an epoch drops its tape once the step is
     taken, and with dropout the previous epoch's validation forward runs
@@ -204,7 +204,7 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
     best_val = -np.inf if higher_is_better else np.inf
     best_params, stale = params(), 0
 
-    def validate(loss: float, stepped: dict, out: Matrix) -> bool:
+    def validate(loss: float, stepped: dict, out: np.ndarray) -> bool:
         """Record the oldest unvalidated epoch; True once patience runs out."""
         nonlocal best_val, best_params, stale
         val = val_of(out)
@@ -222,13 +222,13 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
     try:
         pending = None  # (loss, params) of the stepped epoch awaiting validation
         for _ in range(epochs):
-            if pending is not None and not reuse and validate(*pending, forward(None)[0].value):
+            if pending is not None and not reuse and validate(*pending, forward(None)[0].data):
                 break
             start = time.perf_counter()
             out, nodes = forward(drop_rng)
             if pending is not None and reuse:
                 paused = time.perf_counter()
-                if validate(*pending, out.value):
+                if validate(*pending, out.data):
                     del out, nodes  # the test forward runs with no tape alive
                     break
                 start += time.perf_counter() - paused
@@ -242,22 +242,21 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
             times.append(time.perf_counter() - start)
         else:
             if pending is not None:
-                validate(*pending, forward(None)[0].value)
+                validate(*pending, forward(None)[0].data)
 
         set_params(best_params)
-        test = test_of(forward(None)[0].value)
+        test = test_of(forward(None)[0].data)
         return TrainResult(best_params, records, test, np.asarray(times))
     finally:
         if malloc_trim is not None:
             malloc_trim(0)
 
 
-def _lp_auc(z: Matrix, pos, neg, decoder: DecoderConfig) -> float:
+def _lp_auc(z: np.ndarray, pos, neg, decoder: DecoderConfig, mode: Precision) -> float:
     if len(pos) == 0 or len(neg) == 0:
         return float("nan")
-    z = Tape().constant(z)  # adopts the Matrix: no copy, no node on the training tape
-    pos_s = fermi_dirac_edge_scores(z, pos, decoder.r, decoder.t).data.reshape(-1)
-    neg_s = fermi_dirac_edge_scores(z, neg, decoder.r, decoder.t).data.reshape(-1)
+    pos_s = fermi_dirac_forward(z, pos, decoder.r, decoder.t, mode).reshape(-1)
+    neg_s = fermi_dirac_forward(z, neg, decoder.r, decoder.t, mode).reshape(-1)
     scores = np.concatenate([pos_s, neg_s])
     labels = np.concatenate([np.ones(len(pos_s)), np.zeros(len(neg_s))])
     return roc_auc(scores, labels)
@@ -286,8 +285,8 @@ def train_link_prediction(config: ModelConfig, graph: Graph, split: EdgeSplit,
 
     return _fit(
         model, None, forward, loss_of,
-        lambda z: _lp_auc(z, split.val_pos, split.val_neg, decoder),
-        lambda z: {"auc": _lp_auc(z, split.test_pos, split.test_neg, decoder)},
+        lambda z: _lp_auc(z, split.val_pos, split.val_neg, decoder, mode),
+        lambda z: {"auc": _lp_auc(z, split.test_pos, split.test_neg, decoder, mode)},
         higher_is_better=True, seed=seed, epochs=epochs, patience=patience, lr=lr,
     )
 
@@ -316,14 +315,14 @@ def train_node_classification(config: ModelConfig, graph: Graph, node_split,
     def loss_of(logits):
         return nc_loss(ad.gather_rows(logits, train_idx), graph.labels[train_idx])
 
-    def accuracy(logits: Matrix) -> float:
+    def accuracy(logits: np.ndarray) -> float:
         if not len(val_idx):
             return float("nan")
-        preds = logits.data.argmax(axis=1)
+        preds = logits.argmax(axis=1)
         return float(np.mean(preds[val_idx] == graph.labels[val_idx]))
 
-    def test_metrics(logits: Matrix) -> dict:
-        preds = logits.data.argmax(axis=1)
+    def test_metrics(logits: np.ndarray) -> dict:
+        preds = logits.argmax(axis=1)
         average = "binary" if num_classes == 2 else "macro"
         return classification_metrics(preds[test_idx], graph.labels[test_idx], average)
 
@@ -370,14 +369,14 @@ def train_graph_regression(config: ModelConfig, graphs: list[Graph],
     def loss_of(pred):
         return gr_loss(ad.gather_rows(pred, train_g), targets[train_g])
 
-    def val_mae(pred: Matrix) -> float:
+    def val_mae(pred: np.ndarray) -> float:
         if not len(val_g):
             return float("nan")
-        return mean_absolute_error(pred.data.reshape(-1)[val_g], targets[val_g])
+        return mean_absolute_error(pred.reshape(-1)[val_g], targets[val_g])
 
     return _fit(
         model, head, forward, loss_of, val_mae,
-        lambda pred: {"mae": mean_absolute_error(pred.data.reshape(-1)[test_g],
+        lambda pred: {"mae": mean_absolute_error(pred.reshape(-1)[test_g],
                                                  targets[test_g])},
         higher_is_better=False, seed=seed, epochs=epochs, patience=patience, lr=lr,
     )

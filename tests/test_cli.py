@@ -499,6 +499,32 @@ def test_run_non_finite_parameter_exits_1_without_output(tmp_path, monkeypatch, 
     assert not out_dir.exists()
 
 
+def test_single_precision_lp_trains_where_a_negative_scores_1(tmp_path, monkeypatch, capsys):
+    """At t = 0.1 a negative pair scores 1.0 in float32.  lp_loss used to
+    clip it to 1 - 1e-12, which float32 rounds to 1, so log(1 - score) made
+    the first epoch's loss inf and the run exit 1."""
+    import shgcn.cli as cli
+
+    losses = []
+    train = cli.train_model
+
+    def recording(*args, **kwargs):
+        result = train(*args, **kwargs)
+        losses.extend(r.train_loss for r in result.records)
+        return result
+
+    monkeypatch.setattr(cli, "train_model", recording)
+    out_dir = tmp_path / "single"
+    code, _, err = run_cli(
+        ["run", "--synthetic", "tree:2,5", "--precision", "single", "--decoder-t", "0.1",
+         "--epochs", "20", "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 0, err
+    assert len(losses) == 20 and np.isfinite(losses).all()
+    assert read_report(out_dir)["per_seed"][0]["epochs_run"] == 20
+
+
 @pytest.mark.parametrize("extra, message", [
     (["run", "--layers", "0"], "need num_layers >= 1 and hidden_dim >= 1"),
     (["run", "--dim", "0"], "need num_layers >= 1 and hidden_dim >= 1"),

@@ -40,12 +40,20 @@ def composed_scores(z, pairs, r=2.0, t=1.0):
     return ad.sigmoid((r - d2) * (1.0 / t))
 
 
+def clip_bounds(mode):
+    """[LP_CLAMP, 1 - LP_CLAMP], kept at least the mode's smallest subnormal
+    above 0 and its eps/2 below 1."""
+    return (max(LP_CLAMP, float(np.finfo(mode.dtype).smallest_subnormal)),
+            min(1.0 - LP_CLAMP, 1.0 - mode.epsilon / 2))
+
+
 def composed_loss(pos_scores, neg_scores):
     for s in (pos_scores, neg_scores):
         if np.any(s.data < 0.0) or np.any(s.data > 1.0):
             raise ValueError("scores must lie in [0, 1]")
-    pos = ad.clamp(pos_scores, LP_CLAMP, 1.0 - LP_CLAMP)
-    neg = ad.clamp(neg_scores, LP_CLAMP, 1.0 - LP_CLAMP)
+    lo, hi = clip_bounds(pos_scores.mode)
+    pos = ad.clamp(pos_scores, lo, hi)
+    neg = ad.clamp(neg_scores, lo, hi)
     one = neg.tape.constant(1.0, mode=neg.mode)
     return -(ad.mean_all(ad.log(pos))) - ad.mean_all(ad.log(one - neg))
 
@@ -64,6 +72,7 @@ def same_bits(a, b) -> bool:
 # ---------------------------------------------------------------------------
 
 EDGE_SCORES = (0.0, 1.0, LP_CLAMP, 1.0 - LP_CLAMP)
+HALF_SINGLE_BOUNDS = (2.0**-24, 1.0 - 2.0**-11, 1.0 - 2.0**-24)  # clip_bounds' other values
 
 
 @st.composite
@@ -87,7 +96,8 @@ def decoder_cases(draw):
 
 
 def score_lists(values=st.floats(0.0, 1.0)):
-    return st.lists(st.one_of(st.sampled_from(EDGE_SCORES), values), min_size=1, max_size=12)
+    edges = st.sampled_from(EDGE_SCORES + HALF_SINGLE_BOUNDS)
+    return st.lists(st.one_of(edges, values), min_size=1, max_size=12)
 
 
 def run_chain(decoder, loss, z0, pos_pairs, neg_pairs, r, t, mode):
@@ -95,7 +105,7 @@ def run_chain(decoder, loss, z0, pos_pairs, neg_pairs, r, t, mode):
     (pos scores, neg scores, loss, z grad, pos grad, neg grad)."""
     tape = Tape()
     z = tape.variable(z0, mode)
-    with np.errstate(all="ignore"):  # half rounds the clamp to 0: log(0), 0·inf
+    with np.errstate(all="ignore"):  # t = 5e-324 makes 1/t inf, and 0·inf NaN
         pos = decoder(z, pos_pairs, r, t)
         neg = decoder(z, neg_pairs, r, t)
         root = loss(pos, neg)
@@ -134,6 +144,22 @@ def test_loss_repeats_the_composed_tape_bit_for_bit(pos0, neg0):
             out.append((root.data, pos.grad, neg.grad))
         for a, b in zip(*out):
             assert same_bits(a, b), (mode, a, b)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(decoder_cases())
+@example((np.array([[0.0], [4.0]]), np.array([[0, 0], [0, 1]]), np.array([[1, 0]]), 20.0, 1e-3))
+@example((np.array([[0.0], [4.0]]), np.array([[0, 0], [0, 1]]), np.array([[1, 0]]), -20.0, 1e-3))
+def test_decoder_kernel_gives_the_recorded_scores_bit_for_bit(case):
+    """The two examples score exactly 1 and exactly 0 in every mode."""
+    z0, pos_pairs, neg_pairs, r, t = case
+    for mode in Precision:
+        z = Tape().variable(z0, mode)
+        for pairs in (pos_pairs, neg_pairs):
+            with np.errstate(all="ignore"):  # t = 5e-324 makes 1/t inf, and 0·inf NaN
+                kernel = ad.fermi_dirac_forward(z.data, pairs, r, t, mode)
+                recorded = fermi_dirac_edge_scores(z, pairs, r, t).data
+            assert same_bits(kernel, recorded), (mode, kernel, recorded)
 
 
 # A central difference with step h·t is within h²·max|s'''|·t² / 6 of the
@@ -182,6 +208,21 @@ def test_loss_sends_nothing_to_a_clipped_score(clipped):
     pos = tape.variable([[clipped], [0.5]])
     neg = tape.variable([[clipped], [0.5]])
     tape.backward(lp_loss(pos, neg))
+    assert pos.grad[0, 0] == 0.0 and neg.grad[0, 0] == 0.0
+    assert pos.grad[1, 0] == -1.0 and neg.grad[1, 0] == 1.0
+
+
+@pytest.mark.parametrize("mode", list(Precision))
+def test_loss_is_finite_on_scores_of_0_and_1_in_every_mode(mode):
+    """Half rounds LP_CLAMP to 0 and single rounds 1 - LP_CLAMP to 1.
+    Clipped to those bounds, a positive scoring 0 or a negative scoring 1
+    gave log(0): an infinite loss, and NaN on the clipped score's gradient."""
+    tape = Tape()
+    pos = tape.variable([[0.0], [0.5]], mode)
+    neg = tape.variable([[1.0], [0.5]], mode)
+    loss = lp_loss(pos, neg)
+    tape.backward(loss)
+    assert np.isfinite(loss.item())
     assert pos.grad[0, 0] == 0.0 and neg.grad[0, 0] == 0.0
     assert pos.grad[1, 0] == -1.0 and neg.grad[1, 0] == 1.0
 

@@ -561,20 +561,28 @@ def test_graph_regression_matches_reference_without_dropout(kind):
 @pytest.mark.parametrize("dropout, forwards", [(0.0, 12), (0.2, 21)])
 def test_forwards_per_call(small_tree_setup, monkeypatch, dropout, forwards):
     """Without dropout each epoch's training forward doubles as the previous
-    epoch's validation forward: epochs + 2 forwards instead of 2 * epochs + 1."""
+    epoch's validation forward: epochs + 2 forwards instead of 2 * epochs + 1.
+    Validation and the test score the forward's array without a tape, so
+    the call builds one tape per forward."""
     graph, split = small_tree_setup
-    calls = []
-    original = GraphModel.forward
+    calls, tapes = [], []
+    original, init = GraphModel.forward, Tape.__init__
 
     def counting(self, *args, **kwargs):
         calls.append(1)
         return original(self, *args, **kwargs)
 
+    def counting_init(self):
+        tapes.append(1)
+        init(self)
+
     monkeypatch.setattr(GraphModel, "forward", counting)
+    monkeypatch.setattr(Tape, "__init__", counting_init)
     config = ModelConfig(layer_kind="gcn", num_layers=2, hidden_dim=8, dropout=dropout)
     result = train_link_prediction(config, graph, split, seed=0, epochs=10)
     assert len(result.records) == 10
     assert len(calls) == forwards
+    assert len(tapes) == forwards
 
 
 def train_task(task, config, setup, **kw):
