@@ -96,6 +96,7 @@ pages for the next tape instead of handing them back to the kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from typing import Callable
@@ -488,11 +489,13 @@ def tanh(a: Node) -> Node:
     return _elementwise(a, np.tanh, lambda x: 1.0 - np.tanh(x) ** 2)
 
 
-def arctanh(a: Node) -> Node:
+def _check_arctanh_domain(a: Node) -> None:
     if np.any(np.abs(a.data) >= 1.0):
-        raise BoundaryCollapseError(
-            f"arctanh domain violated: max |x| = {np.max(np.abs(a.data))}"
-        )
+        raise BoundaryCollapseError(f"arctanh domain violated: max |x| = {np.max(np.abs(a.data))}")
+
+
+def arctanh(a: Node) -> Node:
+    _check_arctanh_domain(a)
     return _elementwise(a, np.arctanh, lambda x: 1.0 / (1.0 - x * x))
 
 
@@ -555,10 +558,7 @@ def _artanhc_raw(x):
 
 def artanhc(a: Node) -> Node:
     """arctanh(x)/x extended by continuity to 1 at x = 0; domain |x| < 1."""
-    if np.any(np.abs(a.data) >= 1.0):
-        raise BoundaryCollapseError(
-            f"arctanh domain violated: max |x| = {np.max(np.abs(a.data))}"
-        )
+    _check_arctanh_domain(a)
 
     def dfn(x):
         small = np.abs(x) < 1e-6
@@ -621,17 +621,11 @@ def check_fermi_dirac(r: float, t: float) -> None:
         raise ValueError("Fermi-Dirac radius r must be finite")
 
 
-def _rounder(mode: Precision):
-    """x -> x rounded to mode, as `_record` rounds a result (the identity in
-    double): a fused primitive rounds each intermediate with it."""
-    return (lambda x: x) if mode is Precision.DOUBLE else (lambda x: round_array(x, mode))
-
-
 def _fermi_dirac(z: np.ndarray, pairs: np.ndarray, r: float, t: float, mode: Precision):
     """The decoder's forward on an (n, d) array -> (unrounded logistic
     (m, 1), rounded pair differences (m, d), rounded 1/t)."""
     check_fermi_dirac(r, t)
-    rnd = _rounder(mode)
+    rnd = functools.partial(round_array, mode=mode)
     scale = rnd(np.array([[1.0 / t]]))
     diff = rnd(z[pairs[:, 0]] - z[pairs[:, 1]])
     d2 = rnd(_summed((len(pairs), 1), rnd(diff * diff)))
@@ -679,7 +673,7 @@ def lp_loss(pos_scores: Node, neg_scores: Node) -> Node:
     mode = pos_scores.mode
     lo = max(LP_CLAMP, float(np.finfo(mode.dtype).smallest_subnormal))
     hi = min(1.0 - LP_CLAMP, 1.0 - mode.epsilon / 2)
-    rnd = _rounder(mode)
+    rnd = functools.partial(round_array, mode=mode)
     p, n = pos_scores.data, neg_scores.data
     pos = rnd(np.clip(p, lo, hi))
     neg = rnd(np.clip(n, lo, hi))

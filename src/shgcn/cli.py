@@ -30,9 +30,9 @@ from .graphs import (
     Graph,
     check_ratios,
     delta_hyperbolicity,
-    erdos_graph,
     load_graph,
     parse_synthetic,
+    regression_family,
     split_edges,
     split_nodes,
     split_sizes,
@@ -53,9 +53,7 @@ RUNTIME_ERROR = 1
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+    """A usage or validation error: main prints it and exits USAGE_ERROR."""
 
 
 @contextlib.contextmanager
@@ -246,32 +244,6 @@ def _load_dataset(args) -> Graph:
     raise CliError("no dataset: pass --synthetic <spec> or --edges <file>")
 
 
-def _regression_family(spec: str, count: int, seed: int) -> list[Graph]:
-    """A family of random graphs around an erdos template: member i draws
-    its edge probability from [p/2, 3p/2], capped at 1.  Every draw follows
-    the run seed; the template's seed must be an integer but is not read.
-    The regression target is ten times the realized edge density."""
-    kind, _, rest = spec.partition(":")
-    if kind != "erdos":
-        raise CliError("graph regression expects an erdos:<n>,<p>,<seed> template")
-    try:
-        n, p, template_seed = rest.split(",")
-        n, p, _ = int(n), float(p), int(template_seed)
-        if n < 2 or not 0.0 <= p <= 1.0:
-            raise ValueError
-    except ValueError:
-        raise CliError(f"bad erdos template {spec!r}: need n >= 2 and p in [0, 1], "
-                       "and an integer seed") from None
-    rng = np.random.default_rng(seed)
-    graphs = []
-    for i in range(count):
-        pi = min(float(rng.uniform(0.5 * p, 1.5 * p)), 1.0)
-        g = erdos_graph(n, pi, seed=seed + 1000 + i)
-        density = 2.0 * g.num_edges / (g.n * (g.n - 1))
-        graphs.append(Graph(g.n, g.edges, g.features, g.labels, 10.0 * density))
-    return graphs
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -300,7 +272,8 @@ def cmd_run(args) -> int:
     per_seed = []
     for seed in cfg["seeds"]:
         if cfg["task"] == "gr":
-            family = _regression_family(args.synthetic or "", cfg["count"], seed)
+            with _usage_errors():
+                family = regression_family(args.synthetic or "", cfg["count"], seed)
             result = train_graph_regression(
                 model_config, family, seed=seed, epochs=cfg["epochs"],
                 patience=cfg["patience"], lr=cfg["lr"], ratios=ratios, mode=mode,
@@ -480,7 +453,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return RUNTIME_ERROR

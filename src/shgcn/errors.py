@@ -16,3 +16,8 @@ class PrecisionOverflowError(BoundaryCollapseError):
 
 class NonFiniteError(ValueError):
     """Training produced a non-finite loss or parameter."""
+
+
+class StalledTrainingError(ValueError):
+    """The first training step sent no gradient to any parameter while the
+    loss was positive, so no step could move the model."""

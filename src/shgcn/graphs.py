@@ -667,6 +667,32 @@ def erdos_graph(n: int, p: float, seed: int = 0) -> Graph:
     return Graph(n, edges, feats, labels)
 
 
+def regression_family(spec: str, count: int, seed: int) -> list[Graph]:
+    """A family of random graphs around an erdos template: member i draws
+    its edge probability from [p/2, 3p/2], capped at 1.  Every draw follows
+    the run seed; the template's seed must be an integer but is not read.
+    The regression target is ten times the realized edge density."""
+    kind, _, rest = spec.partition(":")
+    if kind != "erdos":
+        raise ValueError("graph regression expects an erdos:<n>,<p>,<seed> template")
+    try:
+        n, p, template_seed = rest.split(",")
+        n, p, _ = int(n), float(p), int(template_seed)
+        if n < 2 or not 0.0 <= p <= 1.0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"bad erdos template {spec!r}: need n >= 2 and p in [0, 1], "
+                         "and an integer seed") from None
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(count):
+        pi = min(float(rng.uniform(0.5 * p, 1.5 * p)), 1.0)
+        g = erdos_graph(n, pi, seed=seed + 1000 + i)
+        density = 2.0 * g.num_edges / (g.n * (g.n - 1))
+        graphs.append(Graph(g.n, g.edges, g.features, g.labels, 10.0 * density))
+    return graphs
+
+
 def random_tree(n: int, seed: int = 0) -> Graph:
     """Uniform random labelled tree via a Pruefer sequence."""
     if n < 1:

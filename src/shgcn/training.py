@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape, fermi_dirac_forward, lp_loss
-from .errors import NonFiniteError
+from .errors import NonFiniteError, StalledTrainingError
 from .graphs import (
     EdgeSplit,
     Graph,
@@ -136,6 +136,20 @@ def _check_finite(epoch: int, loss: float, stepped: dict) -> None:
                 f"epoch {epoch}: parameter {name!r} is not finite after the Adam step")
 
 
+def _check_first_step(loss: float, grads: dict) -> None:
+    """Stop a call whose first step sends no gradient at a positive loss:
+    Adam would leave every parameter where it is, epoch after epoch, and the
+    call report the untrained model.  A zero loss (an edgeless regression
+    family) is already at its minimum and passes."""
+    if loss > 0 and not any(np.any(g) for g in grads.values()):
+        raise StalledTrainingError(
+            f"epoch 0: the loss is {loss:.6g} but every parameter gradient is 0, so no "
+            "step can move the model.  In link prediction the Fermi-Dirac decoder is "
+            "saturated: every score rounds to 0 or 1, and lp_loss's clip sends a clipped "
+            "score no gradient.  Raise the temperature t, or bring the radius r nearer "
+            "the squared distances between embeddings")
+
+
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -180,7 +194,8 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
     gradient buffer is freed once its rule has run, and only the parameter
     nodes keep theirs.  The best params are set before one dropout-free
     forward goes to `test_of`.  Raises NonFiniteError when the loss or a
-    stepped parameter is not finite.
+    stepped parameter is not finite, and StalledTrainingError when the first
+    step sends no gradient at a positive loss.
 
     One tape is alive at a time: an epoch drops its tape once the step is
     taken, and with dropout the previous epoch's validation forward runs
@@ -234,10 +249,13 @@ def _fit(model: GraphModel, head, forward, loss_of, val_of, test_of, *, higher_i
                 start += time.perf_counter() - paused
             loss = loss_of(out)
             out.tape.backward(loss, release=True)
-            stepped = adam_step(opt, params(), _grads_of(nodes))
+            grads = _grads_of(nodes)
+            stepped = adam_step(opt, params(), grads)
             pending = (loss.item(), stepped)
             del out, nodes, loss  # the next forward runs with no tape alive
             _check_finite(len(times), *pending)
+            if not times:
+                _check_first_step(pending[0], grads)
             set_params(stepped)
             times.append(time.perf_counter() - start)
         else:

@@ -499,30 +499,40 @@ def test_run_non_finite_parameter_exits_1_without_output(tmp_path, monkeypatch, 
     assert not out_dir.exists()
 
 
-def test_single_precision_lp_trains_where_a_negative_scores_1(tmp_path, monkeypatch, capsys):
-    """At t = 0.1 a negative pair scores 1.0 in float32.  lp_loss used to
-    clip it to 1 - 1e-12, which float32 rounds to 1, so log(1 - score) made
-    the first epoch's loss inf and the run exit 1."""
-    import shgcn.cli as cli
-
-    losses = []
-    train = cli.train_model
-
-    def recording(*args, **kwargs):
-        result = train(*args, **kwargs)
-        losses.extend(r.train_loss for r in result.records)
-        return result
-
-    monkeypatch.setattr(cli, "train_model", recording)
-    out_dir = tmp_path / "single"
+@pytest.mark.parametrize("extra, loss", [
+    (["--decoder-t", "0.05"], "27.631"),
+    (["--decoder-r", "1e6"], "27.631"),
+    (["--precision", "single", "--decoder-t", "0.1"], "16.6355"),
+], ids=["double-small-t", "double-large-r", "single-small-t"])
+def test_saturated_decoder_stops_the_call_with_exit_1(extra, loss, tmp_path, monkeypatch,
+                                                      capsys):
+    """Every training score rounds to 1, so lp_loss clips each one and sends
+    no gradient: Adam would leave every parameter in place and the call
+    report AUC 0.5.  The loss stays finite (in single it was inf before
+    lp_loss's bounds followed the mode)."""
+    out_dir = tmp_path / "stalled"
     code, _, err = run_cli(
-        ["run", "--synthetic", "tree:2,5", "--precision", "single", "--decoder-t", "0.1",
-         "--epochs", "20", "--out", str(out_dir)],
+        ["run", "--synthetic", "tree:2,5", *extra, "--epochs", "20", "--out", str(out_dir)],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 1
+    assert (f"runtime failure: epoch 0: the loss is {loss} but every parameter gradient "
+            "is 0") in err
+    assert "the Fermi-Dirac decoder is saturated" in err
+    assert not out_dir.exists()
+
+
+def test_edgeless_gr_family_still_exits_0_at_zero_loss(tmp_path, monkeypatch, capsys):
+    """Zero loss and zero gradients at initialisation: the model is already
+    exact, which is no stall."""
+    out_dir = tmp_path / "edgeless"
+    code, _, err = run_cli(
+        ["run", "--task", "gr", "--synthetic", "erdos:2,0.0,0", "--count", "3",
+         "--ratios", "0.34,0.33,0.33", "--epochs", "3", "--out", str(out_dir)],
         tmp_path, monkeypatch, capsys,
     )
     assert code == 0, err
-    assert len(losses) == 20 and np.isfinite(losses).all()
-    assert read_report(out_dir)["per_seed"][0]["epochs_run"] == 20
+    assert read_report(out_dir)["per_seed"][0]["metrics"] == {"mae": 0.0}
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -8,9 +8,10 @@ Run it against two checkouts' src to compare them:
     PYTHONPATH=src python tools/delta_battery.py [--tiny] [NAME ...]
 
 NAME picks rows by name (all by default).  `--tiny` runs small members of
-the same families in about a second.  A checkout whose delta has no pair
-sweep prints `-` for the far-apart pairs and the sweep.  Every call lifts
-the node cap to the graph's size, so the 2,000-node row runs too.
+the same families in about a second.  A graph whose 2-core has fewer
+than four nodes prints `-` for the far-apart pairs and the sweep.  Every
+call lifts the node cap to the graph's size, so the 2,000-node row runs
+too.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def battery(tiny: bool) -> list:
 
 def plan(g: graphs.Graph) -> tuple:
     """2-core size, far-apart pairs and sweep; the last two are '-' when the
-    checkout has no pair sweep or the core is too small to search."""
+    core is too small to search."""
     core = graphs._two_core(g)
-    if not hasattr(graphs, "_far_apart_pairs") or len(core) < 4:
+    if len(core) < 4:
         return len(core), "-", "-"
     dist = shortest_path(g.adjacency()[core][:, core], method="D", unweighted=True)
     pairs = len(graphs._far_apart_pairs(dist.astype(np.int16))[0])

@@ -35,8 +35,7 @@ import resource
 import time
 import tracemalloc
 
-from shgcn.cli import _regression_family
-from shgcn.graphs import parse_synthetic, split_edges, split_nodes
+from shgcn.graphs import parse_synthetic, regression_family, split_edges, split_nodes
 from shgcn.layers import LAYER_KINDS, ModelConfig
 from shgcn.precision import Precision
 from shgcn.training import train_graph_regression, train_model
@@ -59,7 +58,7 @@ def trainer(args, task: str, kind: str):
     config = ModelConfig(layer_kind=kind)
     kw = dict(seed=SEED, epochs=args.epochs, patience=args.epochs + 1, mode=args.mode)
     if task == "gr":
-        family = _regression_family(args.family, args.graphs, SEED)
+        family = regression_family(args.family, args.graphs, SEED)
         return lambda: train_graph_regression(config, family, **kw)
     graph = parse_synthetic(args.graph)
     if task == "lp":

@@ -26,8 +26,7 @@ import itertools
 
 import numpy as np
 
-from shgcn.cli import _regression_family
-from shgcn.graphs import parse_synthetic, split_edges, split_nodes
+from shgcn.graphs import parse_synthetic, regression_family, split_edges, split_nodes
 from shgcn.layers import LAYER_KINDS, ModelConfig
 from shgcn.precision import Precision
 from shgcn.training import TrainResult, train_graph_regression, train_model
@@ -54,7 +53,7 @@ def digest(result: TrainResult) -> str:
 
 def trajectory_digests(epochs: int) -> list[str]:
     tree = parse_synthetic("tree:2,6")
-    family = _regression_family("erdos:40,0.1,0", 16, SEED)
+    family = regression_family("erdos:40,0.1,0", 16, SEED)
     lines = []
     for task, kind, mode, dropout in itertools.product(TASKS, LAYER_KINDS, MODES, DROPOUTS):
         config = ModelConfig(layer_kind=kind, dropout=dropout)
